@@ -22,6 +22,7 @@ from .fock import (check_current_bracket, check_sugawara_bracket,
 from .fusion import alphabet, fusion_coeff, fusion_table
 from .kz import flatness_check, kz_system, parallel_transport, translation_contraction
 from .liealg import build_root_system, casimir_eigenvalue, dual_weight, parse_algebra
+from .linalg import mat_mul, transpose
 from .oracle import (CoinvariantProblem, npoint_block_rank, propagation_check,
                      three_point_rank)
 from .surface import (MarkedSurface, block_dimension, dehn_twist_eigenvalue,
@@ -328,7 +329,7 @@ def kz_flatness(nmax: int = 4, level_max: int = 3) -> CheckResult:
                        time.perf_counter() - t0, budget=30.0, rows=rows)
 
 
-def _identity_deviation(matrix) -> float:
+def _identity_deviation(matrix):
     return max((abs(v - (1 if i == j else 0))
                 for i, row in enumerate(matrix) for j, v in enumerate(row)),
                default=0.0)
@@ -400,14 +401,8 @@ def gluing_recursion(degree: int = 6, dmax: int = 4) -> CheckResult:
                              (dp, dp + n), worst))
             if worst:
                 bad.append(rows[-1])
-        gram0 = series.quotient.pairing.gram(0)
-        eps0 = series.terms[0]
-        size = len(eps0)
-        worst = Fraction(0)
-        for i in range(size):
-            for j in range(size):
-                got = sum(Fraction(gram0[k][i]) * eps0[k][j] for k in range(size))
-                worst = max(worst, abs(got - (1 if i == j else 0)))
+        worst = _identity_deviation(
+            mat_mul(transpose(series.quotient.pairing.gram(0)), series.terms[0]))
         rows.append(_row(f"mu={mu},eps0-inverse-pairing", (0, 0), worst))
         if worst:
             bad.append(rows[-1])

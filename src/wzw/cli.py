@@ -11,7 +11,9 @@ a failed verification, 2 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -27,6 +29,13 @@ from .surface import MarkedSurface, block_dimension, dehn_twist_eigenvalue
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad usage; the contract wants 1."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value that starts like a negative number, such as the point list
+        # -5,17,14 or -3/2,0, is a value and not an option (no option here
+        # looks like a number)
+        self._negative_number_matcher = re.compile(r"^-\d")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -176,9 +185,11 @@ def _load_path(filename: str, n: int) -> list:
         if not isinstance(config, list) or len(config) != n:
             raise InputError(f"each configuration needs {n} [re,im] pairs")
         try:
-            waypoints.append(tuple(complex(re, im) for re, im in config))
+            waypoints.append(tuple(complex(x, y) for x, y in config))
         except (TypeError, ValueError):
             raise InputError("points must be [re,im] number pairs") from None
+        if not all(cmath.isfinite(z) for z in waypoints[-1]):
+            raise InputError("path coordinates must be finite numbers")
     if data.get("closed"):
         waypoints.append(waypoints[0])
     return waypoints
@@ -310,6 +321,9 @@ def main(argv=None) -> int:
         return 1
     except InternalError as e:
         print(f"internal error: {e}", file=sys.stderr)
+        return 2
+    except Exception as e:  # any other escape is a bug, never an input problem
+        print(f"internal error: {e!r}", file=sys.stderr)
         return 2
     _emit(payload, rows, args.format)
     return code

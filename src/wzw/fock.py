@@ -27,8 +27,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InputError, InternalError
-from .linalg import IntSpan, invert
-from .oracle import sl2_irrep_matrices
+from .liealg import sl2_irrep_matrices
+from .linalg import IntSpan, invert, mat_mul, transpose
 
 _NEG = -(10 ** 9)  # conceptual lower window edge; degrees below 0 are empty
 
@@ -537,13 +537,9 @@ class GramPairing:
 
 def _pivot_columns(rows) -> list[int]:
     span = IntSpan()
-    order = []
     for row in rows:
-        before = dict(span.pivots)
-        if span.add({j: v for j, v in enumerate(row) if v}):
-            new = set(span.pivots) - set(before)
-            order.append(min(new))
-    return sorted(set(order))
+        span.add({j: v for j, v in enumerate(row) if v})
+    return sorted(span.pivots)
 
 
 @dataclass(eq=False)
@@ -603,43 +599,26 @@ def integrable_quotient(module: InducedModule, d: int | None = None) -> Integrab
         raise InputError(f"degree {d} exceeds module bound {module.degree_bound}")
     minus = induced_module(module.level, module.mu, module.degree_bound)
     pairing = GramPairing(module, minus)
-    if _rank(pairing.gram(0)) != module.mu + 1:
+    if len(_pivot_columns(pairing.gram(0))) != module.mu + 1:
         raise InternalError("degree-0 pairing is singular; b_mu must be perfect")
     kept, kept_minus, proj_plus, proj_minus = {}, {}, {}, {}
     for n in range(d + 1):
         g = pairing.gram(n)
-        rows = len(g)
-        cols = len(g[0]) if rows else 0
         km = _pivot_columns(g)
-        kp = _pivot_columns([[g[i][j] for i in range(rows)] for j in range(cols)])
+        kp = _pivot_columns(transpose(g))
         if len(km) != len(kp):
             raise InternalError("Gram matrix row and column ranks disagree")
         kept[n], kept_minus[n] = kp, km
-        r = len(kp)
-        if r == 0:
+        if not kp:
             proj_plus[n], proj_minus[n] = [], []
             continue
-        small = [[Fraction(g[i][j]) for j in km] for i in kp]
-        inv = invert(small)
-        proj_plus[n] = [[sum(Fraction(g[p][km[t]]) * inv[t][a] for t in range(r))
-                         for p in range(rows)] for a in range(r)]
-        proj_minus[n] = [[sum(inv[a][t] * Fraction(g[kp[t]][q]) for t in range(r))
-                          for q in range(cols)] for a in range(r)]
+        g_km = [[row[j] for j in km] for row in g]
+        inv = invert([g_km[i] for i in kp])
+        proj_plus[n] = transpose(mat_mul(g_km, inv))
+        proj_minus[n] = mat_mul(inv, [g[i] for i in kp])
     return IntegrableQuotient(module=module, minus=minus, pairing=pairing,
                               degree_bound=d, kept=kept, kept_minus=kept_minus,
                               proj_plus=proj_plus, proj_minus=proj_minus)
-
-
-def _rank(mat) -> int:
-    span = IntSpan()
-    for row in mat:
-        span.add({j: v for j, v in enumerate(row) if v})
-    return span.rank
-
-
-def _mat_prod(a, b) -> list:
-    return [[sum(ra[t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))]
-            for ra in a] if a and b else []
 
 
 @dataclass(eq=False)
@@ -677,7 +656,7 @@ def gluing_tensor(level: int, mu: int, d: int) -> GluingTensorSeries:
             ginv = invert(gq)
         except ValueError:
             raise InternalError(f"degree-{n} quotient pairing is not perfect") from None
-        terms.append([[ginv[b][a] for b in range(len(km))] for a in range(len(kp))])
+        terms.append(transpose(ginv))
 
     series = GluingTensorSeries(level=level, mu=mu, degree_bound=d,
                                 quotient=quot, terms=terms)
@@ -709,9 +688,8 @@ def gluing_recursion_residuals(series: GluingTensorSeries, nmax: int = 2,
                 # (1 (x) X t-^{-n}) eps_dp = M_dp . B^T
                 a_mat = quot.descend(plus_op, dp + n)
                 b_mat = quot.descend_minus(minus_op, dp)
-                lhs = _mat_prod(a_mat, series.terms[dp + n])
-                rhs = _mat_prod(series.terms[dp],
-                                [list(col) for col in zip(*b_mat)] if b_mat else [])
+                lhs = mat_mul(a_mat, series.terms[dp + n])
+                rhs = mat_mul(series.terms[dp], transpose(b_mat))
                 worst = Fraction(0)
                 for i in range(quot.dim(dp)):
                     for j in range(quot.dim(dp + n)):

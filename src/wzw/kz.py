@@ -10,13 +10,15 @@ Parallel transport is the single floating-point boundary of the package.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from .errors import InputError, InternalError
-from .linalg import IntSpan
-from .oracle import CoinvariantProblem, npoint_block_ranks, sl2_irrep_matrices, _strides
+from .liealg import sl2_irrep_matrices
+from .linalg import IntSpan, commutator, is_zero, strides, transpose
+from .oracle import CoinvariantProblem, npoint_block_ranks
 
 Mat = list  # list of rows of Fraction
 
@@ -27,7 +29,7 @@ class _TensorOps:
     def __init__(self, labels):
         self.labels = labels
         self.dims = [m + 1 for m in labels]
-        self.strides = _strides(self.dims)
+        self.strides = strides(self.dims)
         self.D = 1
         for d in self.dims:
             self.D *= d
@@ -121,10 +123,6 @@ class KZSystem:
         return len(self.labels)
 
 
-def _mat_from_cols(cols, dim) -> Mat:
-    return [[cols[b][a] for b in range(len(cols))] for a in range(dim)]
-
-
 def kz_system(level: int, labels) -> KZSystem:
     """Connection matrices A_ij = -c^(ij)/(l+2) on the block quotient."""
     labels = _validate_labels(labels)
@@ -160,12 +158,6 @@ def kz_system(level: int, labels) -> KZSystem:
             if any(to_quotient(ops.diagonal({f: Fraction(1)}, gen))):
                 raise InternalError("diagonal action does not vanish on the quotient")
 
-    a_classical = {}
-    for i, j in combinations(range(n), 2):
-        cols = [to_quotient(ops.casimir_pair({f: Fraction(1)}, i, j)) for f in free]
-        a_classical[(i, j)] = [[-cols[b][a] / (level + 2) for b in range(classical_dim)]
-                               for a in range(classical_dim)]
-
     base_point = tuple(Fraction(n - 1 - 2 * i) for i in range(n))
     block_rank, oracle_classical = npoint_block_ranks(
         CoinvariantProblem(level=level, labels=labels, points=base_point))
@@ -173,11 +165,21 @@ def kz_system(level: int, labels) -> KZSystem:
         raise InternalError(f"coinvariant dimension mismatch: {classical_dim} here, "
                             f"{oracle_classical} from the oracle")
 
+    def connection(to_space, basis) -> dict:
+        """A_ij on a quotient; column k is the image of the basis vector basis[k]."""
+        return {(i, j): transpose([[-v / (level + 2) for v in
+                                    to_space(ops.casimir_pair({b: Fraction(1)}, i, j))]
+                                   for b in basis])
+                for i, j in combinations(range(n), 2)}
+
+    def projection(to_space) -> Mat:
+        return transpose([to_space({b: Fraction(1)}) for b in range(D)])
+
     if block_rank == classical_dim:
-        proj = _projection_matrix(ops, to_quotient, classical_dim)
         return KZSystem(level=level, labels=labels, dim=classical_dim,
-                        classical_dim=classical_dim, a_matrices=a_classical,
-                        quotient_projection=proj, truncated=False,
+                        classical_dim=classical_dim,
+                        a_matrices=connection(to_quotient, free),
+                        quotient_projection=projection(to_quotient), truncated=False,
                         base_point=base_point)
 
     # level truncation: quotient further by the image of T^{l+1} at base_point
@@ -213,40 +215,11 @@ def kz_system(level: int, labels) -> KZSystem:
         if not invariant:
             break
 
-    a_trunc = {}
-    for i, j in combinations(range(n), 2):
-        cols = [to_block(ops.casimir_pair({free[k]: Fraction(1)}, i, j)) for k in kept]
-        a_trunc[(i, j)] = [[-cols[b][a] / (level + 2) for b in range(block_rank)]
-                           for a in range(block_rank)]
-    proj = [[Fraction(0)] * D for _ in range(block_rank)]
-    for b in range(D):
-        col = to_block({b: Fraction(1)})
-        for a in range(block_rank):
-            proj[a][b] = col[a]
     return KZSystem(level=level, labels=labels, dim=block_rank,
-                    classical_dim=classical_dim, a_matrices=a_trunc,
-                    quotient_projection=proj, truncated=True,
+                    classical_dim=classical_dim,
+                    a_matrices=connection(to_block, [free[k] for k in kept]),
+                    quotient_projection=projection(to_block), truncated=True,
                     base_point=base_point, truncation_invariant=invariant)
-
-
-def _projection_matrix(ops, to_quotient, dim) -> Mat:
-    proj = [[Fraction(0)] * ops.D for _ in range(dim)]
-    for b in range(ops.D):
-        col = to_quotient({b: Fraction(1)})
-        for a in range(dim):
-            proj[a][b] = col[a]
-    return proj
-
-
-def _mat_comm(a: Mat, b: Mat) -> Mat:
-    q = len(a)
-    ab = [[sum(a[i][t] * b[t][j] for t in range(q)) for j in range(q)] for i in range(q)]
-    ba = [[sum(b[i][t] * a[t][j] for t in range(q)) for j in range(q)] for i in range(q)]
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(ab, ba)]
-
-
-def _mat_add(a: Mat, b: Mat) -> Mat:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def flatness_check(system: KZSystem) -> bool:
@@ -254,18 +227,16 @@ def flatness_check(system: KZSystem) -> bool:
     n, mats = system.n, system.a_matrices
     if system.dim == 0 or n == 2:
         return True
+    # [A_one, A_two + A_three] = 0, written as [A_one, A_two] = [A_three, A_one]
     for i, j, k in combinations(range(n), 3):
         trips = (((i, j), (i, k), (j, k)), ((i, k), (i, j), (j, k)),
                  ((j, k), (i, j), (i, k)))
         for one, two, three in trips:
-            res = _mat_comm(mats[one], _mat_add(mats[two], mats[three]))
-            if any(any(row) for row in res):
+            if commutator(mats[one], mats[two]) != commutator(mats[three], mats[one]):
                 return False
     for (i, j), (k, l) in combinations(mats.keys(), 2):
-        if len({i, j, k, l}) == 4:
-            res = _mat_comm(mats[(i, j)], mats[(k, l)])
-            if any(any(row) for row in res):
-                return False
+        if len({i, j, k, l}) == 4 and not is_zero(commutator(mats[(i, j)], mats[(k, l)])):
+            return False
     return True
 
 
@@ -330,20 +301,26 @@ def _det(m: list) -> complex:
 
 
 def _segment_guard(p, q):
-    """Reject a segment that meets a diagonal z_i = z_j."""
+    """Reject a segment that meets a diagonal z_i = z_j or overflows a float."""
     n = len(p)
     for i in range(n):
         for j in range(i + 1, n):
             u = p[i] - p[j]
             v = q[i] - q[j]
-            scale = max(abs(u), abs(v), 1.0)
-            # min_t |(1-t)u + t v| over [0,1]
             du = v - u
-            if abs(du) == 0:
-                dist = abs(u)
-            else:
-                t = max(0.0, min(1.0, -(u * du.conjugate()).real / abs(du) ** 2))
-                dist = abs(u + t * du)
+            try:
+                if not (cmath.isfinite(u) and cmath.isfinite(v) and cmath.isfinite(du)):
+                    raise OverflowError
+                scale = max(abs(u), abs(v), 1.0)
+                # min_t |(1-t)u + t v| over [0,1]
+                if abs(du) == 0:
+                    dist = abs(u)
+                else:
+                    t = max(0.0, min(1.0, -(u * du.conjugate()).real / abs(du) ** 2))
+                    dist = abs(u + t * du)
+            except OverflowError:
+                raise InputError(f"path coordinates too large for floating point: "
+                                 f"z_{i} - z_{j} overflows") from None
             if dist < 1e-12 * scale:
                 raise InputError(f"path touches the diagonal z_{i} = z_{j}")
 

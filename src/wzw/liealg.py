@@ -22,6 +22,7 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import InputError, InternalError
+from .linalg import commutator, det, identity, invert, is_zero, mat_mul
 
 Weight = tuple[int, ...]
 
@@ -140,10 +141,10 @@ def build_root_system(series: str, rank: int) -> RootSystem:
     # positive-definiteness of the symmetrization d_i * a_ij (leading minors > 0)
     sym = [[d[i] * cartan[i][j] for j in range(rank)] for i in range(rank)]
     for k in range(1, rank + 1):
-        if _det([row[:k] for row in sym[:k]]) <= 0:
+        if det([row[:k] for row in sym[:k]]) <= 0:
             raise InternalError(f"Cartan symmetrization not positive definite for {series}{rank}")
 
-    ainv = _invert_rational([[Fraction(x) for x in row] for row in cartan])
+    ainv = invert(cartan)
     form = [[ainv[j][i] * d[j] for j in range(rank)] for i in range(rank)]
     for i in range(rank):
         for j in range(rank):
@@ -174,31 +175,6 @@ def build_root_system(series: str, rank: int) -> RootSystem:
                       highest_root=theta, rho=rho,
                       dual_coxeter=int(hcheck),
                       dim_g=rank + 2 * len(pos))
-
-
-def _det(m) -> Fraction:
-    m = [[Fraction(x) for x in row] for row in m]
-    n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c]), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return det
-
-
-def _invert_rational(a):
-    from .linalg import invert
-    return invert(a)
 
 
 def _positive_roots(cartan: list[list[int]]) -> dict[Weight, int]:
@@ -407,3 +383,41 @@ def tensor_decompose(rs: RootSystem, mu, nu) -> dict[Weight, int]:
     if lhs != weyl_dim(rs, mu) * weyl_dim(rs, nu):
         raise InternalError("tensor decomposition dimension check failed")
     return out
+
+
+# ---------------------------------------------------------------------------
+# explicit sl2 irreps
+
+@dataclass(frozen=True)
+class RepMatrices:
+    """Weight-basis matrices of the (m+1)-dimensional sl2 irrep."""
+    m: int
+    E: tuple[tuple[int, ...], ...]
+    F: tuple[tuple[int, ...], ...]
+    H: tuple[tuple[int, ...], ...]
+
+
+def sl2_irrep_matrices(m: int) -> RepMatrices:
+    """E, F, H on the basis v_0 (highest) .. v_m, with F v_j = v_{j+1}."""
+    if not isinstance(m, int) or m < 0:
+        raise InputError(f"sl2 label must be a nonnegative integer, got {m!r}")
+    n = m + 1
+    E = tuple(tuple(j * (m - j + 1) if i == j - 1 else 0 for j in range(n))
+              for i in range(n))
+    F = tuple(tuple(1 if i == j + 1 else 0 for j in range(n)) for i in range(n))
+    H = tuple(tuple(m - 2 * j if i == j else 0 for j in range(n)) for i in range(n))
+
+    if commutator(H, E) != [[2 * x for x in r] for r in E]:
+        raise InternalError(f"[H,E] != 2E for m={m}")
+    if commutator(H, F) != [[-2 * x for x in r] for r in F]:
+        raise InternalError(f"[H,F] != -2F for m={m}")
+    if commutator(E, F) != [list(r) for r in H]:
+        raise InternalError(f"[E,F] != H for m={m}")
+    power = identity(n)
+    for _ in range(m):
+        power = mat_mul(power, E)
+    if m > 0 and is_zero(power):
+        raise InternalError(f"E^m vanished for m={m}")
+    if not is_zero(mat_mul(power, E)):
+        raise InternalError(f"E^(m+1) nonzero for m={m}")
+    return RepMatrices(m=m, E=E, F=F, H=H)

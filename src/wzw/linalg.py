@@ -1,13 +1,19 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals: the package's one matrix kernel.
 
-Two layers:
+Every dense exact matrix product, transpose, inverse and determinant in the
+package goes through here.  Two layers:
 
-* dense ``Fraction`` matrices (lists of lists) with reduced row echelon,
-  nullspace and inverse, used where actual bases and projections are needed;
+* dense ``Fraction`` matrices (lists of lists): products, commutators,
+  transposes, inverse and determinant for the Cartan data and the sl2 irreps
+  (liealg), the KZ connection (kz) and the Shapovalov projections and gluing
+  tensor (fock), plus reduced row echelon form and rank as a dense reference;
 * ``IntSpan``, an incremental fraction-free row-space accumulator over the
-  integers, used for the large sparse rank computations in the oracle.  Rows
-  are combined by integer cross-multiplication and renormalized by their gcd,
-  so no rounding or rank tolerance ever enters.
+  integers, used for the large sparse rank computations in the oracle, kz and
+  fock.  Rows are combined by integer cross-multiplication and renormalized
+  by their gcd, so no rounding or rank tolerance ever enters.
+
+``strides`` gives the row-major strides that flatten a multi-index on a
+tensor product V_1 (x) ... (x) V_n into one basis index.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-Vec = list[Fraction]
 Mat = list[list[Fraction]]
 
 
@@ -52,16 +57,13 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return out
 
 
-def mat_vec(a: Mat, v: Vec) -> Vec:
-    return [sum((c * x for c, x in zip(row, v) if c and x), Fraction(0)) for row in a]
-
-
 def mat_sub(a: Mat, b: Mat) -> Mat:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_scale(a: Mat, c: Fraction) -> Mat:
-    return [[c * x for x in row] for row in a]
+def commutator(a: Mat, b: Mat) -> Mat:
+    """[a, b] = ab - ba."""
+    return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
 def is_zero(a: Mat) -> bool:
@@ -99,23 +101,6 @@ def rank(a: Mat) -> int:
     return len(rref(a)[1])
 
 
-def nullspace(a: Mat) -> list[Vec]:
-    """Basis of the right kernel {x : a x = 0}."""
-    if not a:
-        return []
-    ncols = len(a[0])
-    r, pivots = rref(a)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -r[i][f]
-        basis.append(v)
-    return basis
-
-
 def invert(a: Mat) -> Mat:
     """Inverse of a square nonsingular matrix; raises ValueError if singular."""
     n = len(a)
@@ -133,6 +118,35 @@ def invert(a: Mat) -> Mat:
                 f = m[i][c]
                 m[i] = [x - f * y for x, y in zip(m[i], m[c])]
     return [row[n:] for row in m]
+
+
+def det(a) -> Fraction:
+    """Determinant of a square matrix of rationals (or integers)."""
+    m = [[Fraction(x) for x in row] for row in a]
+    n = len(m)
+    out = Fraction(1)
+    for c in range(n):
+        pr = next((i for i in range(c, n) if m[i][c]), None)
+        if pr is None:
+            return Fraction(0)
+        if pr != c:
+            m[c], m[pr] = m[pr], m[c]
+            out = -out
+        out *= m[c][c]
+        inv = 1 / m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c]:
+                f = m[i][c] * inv
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return out
+
+
+def strides(dims) -> list[int]:
+    """Row-major strides: index (i_1, ..., i_n) flattens to sum i_k * strides[k]."""
+    out = [1] * len(dims)
+    for i in range(len(dims) - 2, -1, -1):
+        out[i] = out[i + 1] * dims[i + 1]
+    return out
 
 
 def _gcd_normalize(row: dict[int, int]) -> dict[int, int]:

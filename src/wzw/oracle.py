@@ -1,9 +1,10 @@
 """Brute-force ground truth for A1 conformal-block ranks.
 
-Everything here is deliberately dumb: explicit irrep matrices, explicit
-spanning sets, exact fraction-free rank.  The fast paths elsewhere (fusion,
-surface, kz) are validated against these numbers, so this module must not
-share code or cleverness with them.
+Everything here is deliberately dumb: explicit spanning sets, exact
+fraction-free rank.  The fast paths elsewhere (fusion, surface, kz) are
+validated against these numbers, so this module must not share code or
+cleverness with them; it uses nothing of the package but errors and the
+linalg kernel.
 
 The genus-zero characterization implemented verbatim: the three-point block
 is the biggest quotient of V_1 (x) V_2 (x) V_3 killed by the diagonal action
@@ -18,61 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .errors import InputError, InternalError
-from .linalg import IntSpan
-
-
-@dataclass(frozen=True)
-class RepMatrices:
-    """Weight-basis matrices of the (m+1)-dimensional sl2 irrep."""
-    m: int
-    E: tuple[tuple[int, ...], ...]
-    F: tuple[tuple[int, ...], ...]
-    H: tuple[tuple[int, ...], ...]
-
-
-def _mat(n, entries) -> tuple[tuple[int, ...], ...]:
-    out = [[0] * n for _ in range(n)]
-    for (i, j), v in entries.items():
-        out[i][j] = v
-    return tuple(tuple(r) for r in out)
-
-
-def _mul(a, b):
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-                 for i in range(n))
-
-
-def _sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def sl2_irrep_matrices(m: int) -> RepMatrices:
-    """E, F, H on the basis v_0 (highest) .. v_m, with F v_j = v_{j+1}."""
-    if not isinstance(m, int) or m < 0:
-        raise InputError(f"sl2 label must be a nonnegative integer, got {m!r}")
-    n = m + 1
-    E = _mat(n, {(j - 1, j): j * (m - j + 1) for j in range(1, n)})
-    F = _mat(n, {(j + 1, j): 1 for j in range(m)})
-    H = _mat(n, {(j, j): m - 2 * j for j in range(n)})
-
-    two_e = tuple(tuple(2 * x for x in r) for r in E)
-    neg_two_f = tuple(tuple(-2 * x for x in r) for r in F)
-    if _sub(_mul(H, E), _mul(E, H)) != two_e:
-        raise InternalError(f"[H,E] != 2E for m={m}")
-    if _sub(_mul(H, F), _mul(F, H)) != neg_two_f:
-        raise InternalError(f"[H,F] != -2F for m={m}")
-    if _sub(_mul(E, F), _mul(F, E)) != H:
-        raise InternalError(f"[E,F] != H for m={m}")
-    power = _mat(n, {(i, i): 1 for i in range(n)})
-    for _ in range(m):
-        power = _mul(power, E)
-    if m > 0 and all(x == 0 for row in power for x in row):
-        raise InternalError(f"E^m vanished for m={m}")
-    if any(x != 0 for row in _mul(power, E) for x in row):
-        raise InternalError(f"E^(m+1) nonzero for m={m}")
-    return RepMatrices(m=m, E=E, F=F, H=H)
+from .errors import InputError
+from .linalg import IntSpan, strides
 
 
 @dataclass(frozen=True)
@@ -105,27 +53,20 @@ def _e_string(m: int, j: int, p: int) -> int:
 def _diagonal_rows(labels):
     """Images of every basis vector under diagonal E, F, H as sparse rows."""
     dims = [m + 1 for m in labels]
-    strides = _strides(dims)
+    stride = strides(dims)
     rows = []
     for idx in product(*(range(d) for d in dims)):
-        flat = sum(i * s for i, s in zip(idx, strides))
+        flat = sum(i * s for i, s in zip(idx, stride))
         e_row, f_row, h_row = {}, {}, {}
         for slot, (m, j) in enumerate(zip(labels, idx)):
             if j >= 1:  # E v_j = j(m-j+1) v_{j-1}
-                e_row[flat - strides[slot]] = e_row.get(flat - strides[slot], 0) \
+                e_row[flat - stride[slot]] = e_row.get(flat - stride[slot], 0) \
                     + j * (m - j + 1)
             if j < m:   # F v_j = v_{j+1}
-                f_row[flat + strides[slot]] = f_row.get(flat + strides[slot], 0) + 1
+                f_row[flat + stride[slot]] = f_row.get(flat + stride[slot], 0) + 1
             h_row[flat] = h_row.get(flat, 0) + (m - 2 * j)
         rows.extend(r for r in (e_row, f_row, h_row) if any(r.values()))
     return rows
-
-
-def _strides(dims):
-    strides = [1] * len(dims)
-    for i in range(len(dims) - 2, -1, -1):
-        strides[i] = strides[i + 1] * dims[i + 1]
-    return strides
 
 
 def three_point_rank(level: int, m1: int, m2: int, m3: int) -> int:
@@ -138,7 +79,7 @@ def three_point_ranks(level: int, m1: int, m2: int, m3: int) -> tuple[int, int]:
     labels = (m1, m2, m3)
     _validate_labels(level, labels)
     dims = [m + 1 for m in labels]
-    strides = _strides(dims)
+    stride = strides(dims)
     total = dims[0] * dims[1] * dims[2]
 
     span = IntSpan()
@@ -153,8 +94,8 @@ def three_point_ranks(level: int, m1: int, m2: int, m3: int) -> tuple[int, int]:
             c = (_e_string(m1, j1, p) * _e_string(m2, j2, q)
                  * _e_string(m3, j3, r))
             if c:
-                tgt = ((j1 - p) * strides[0] + (j2 - q) * strides[1]
-                       + (j3 - r) * strides[2])
+                tgt = ((j1 - p) * stride[0] + (j2 - q) * stride[1]
+                       + (j3 - r) * stride[2])
                 span.add({tgt: c})
     return total - span.rank, classical
 
@@ -177,7 +118,7 @@ def npoint_block_ranks(problem: CoinvariantProblem) -> tuple[int, int]:
         raise InputError(f"points must be pairwise distinct, got {z}")
 
     dims = [m + 1 for m in labels]
-    strides = _strides(dims)
+    stride = strides(dims)
     total = 1
     for d in dims:
         total *= d
@@ -193,12 +134,12 @@ def npoint_block_ranks(problem: CoinvariantProblem) -> tuple[int, int]:
         for flat, coeff in vec.items():
             idx = []
             rest = flat
-            for s in strides:
+            for s in stride:
                 idx.append(rest // s)
                 rest %= s
             for slot, (m, j) in enumerate(zip(labels, idx)):
                 if j >= 1:
-                    tgt = flat - strides[slot]
+                    tgt = flat - stride[slot]
                     out[tgt] = out.get(tgt, Fraction(0)) \
                         + coeff * z[slot] * j * (m - j + 1)
         return {k: v for k, v in out.items() if v}

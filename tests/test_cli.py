@@ -36,6 +36,20 @@ def test_oracle_example():
     assert json.loads(out.stdout) == {"rank": 1, "classical_rank": 1}
 
 
+@pytest.mark.parametrize("problem,labels,points", [
+    ("npoint", "1,1,2", "-5,17,14"),
+    ("propagation", "1,1", "-3/2,0"),
+])
+def test_oracle_negative_first_point(problem, labels, points):
+    # a point list starting with a minus sign is a value, not an option
+    spaced = run_cli("oracle", problem, "--level", "2", "--labels", labels,
+                     "--points", points)
+    joined = run_cli("oracle", problem, "--level", "2", "--labels", labels,
+                     f"--points={points}")
+    assert joined.returncode == 0
+    assert (spaced.returncode, spaced.stdout) == (0, joined.stdout)
+
+
 def test_fusion_table_schema():
     out = run_cli("fusion-table", "--algebra", "A1", "--level", "2")
     data = json.loads(out.stdout)
@@ -89,6 +103,30 @@ def test_kz_transport_bad_path_file(tmp_path):
                   "--path", str(path))
     assert out.returncode == 1
     assert "points" in out.stderr
+
+
+def _transport_with_first_point(tmp_path, first):
+    path = tmp_path / "path.json"
+    path.write_text(f'{{"points": [[{first}, [0, 0], [-2, 0]], '
+                    '[[2, 1], [0, 0], [-2, 0]]], "closed": true}')
+    return run_cli("kz", "transport", "--level", "2", "--labels", "1,1,2",
+                   "--path", str(path), "--steps", "200")
+
+
+@pytest.mark.parametrize("first", ["[NaN, 0]", "[2, Infinity]", "[-Infinity, 0]"])
+def test_kz_transport_rejects_non_finite_coordinates(tmp_path, first):
+    out = _transport_with_first_point(tmp_path, first)
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert "finite" in out.stderr
+
+
+@pytest.mark.parametrize("first", ["[1e300, 0]", "[1.7e308, 1.7e308]"])
+def test_kz_transport_rejects_overflowing_coordinates(tmp_path, first):
+    out = _transport_with_first_point(tmp_path, first)
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
 
 
 def test_verify_virasoro_report():
@@ -147,6 +185,18 @@ def test_exit_code_two_on_internal_error(monkeypatch, capsys):
     code = cli.main(["verify", "virasoro"])
     assert code == 2
     assert "internal error" in capsys.readouterr().err
+
+
+def test_exit_code_two_on_unexpected_exception(monkeypatch, capsys):
+    def boom(kmax, degree):
+        raise RuntimeError("synthetic bug")
+    monkeypatch.setattr(cli.checks, "virasoro_rows", boom)
+    code = cli.main(["verify", "virasoro"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "internal error: RuntimeError('synthetic bug')"]
 
 
 def test_main_returns_zero_in_process(capsys):

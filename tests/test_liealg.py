@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from wzw.errors import InputError
 from wzw.liealg import (build_root_system, casimir_eigenvalue, dominant_with_sign,
-                        dual_weight, level_of, parse_algebra, tensor_decompose,
-                        weight_multiplicities, weyl_dim)
+                        dual_weight, level_of, parse_algebra, sl2_irrep_matrices,
+                        tensor_decompose, weight_multiplicities, weyl_dim)
 
 ALL_SMALL = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3),
              ("D", 4), ("G", 2), ("F", 4), ("E", 6)]
@@ -174,3 +174,14 @@ def test_nondominant_weight_rejected():
         casimir_eigenvalue(rs, (-1,))
     with pytest.raises(InputError):
         weyl_dim(rs, (-2,))
+
+
+def test_irrep_matrices_bracket():
+    for m in range(5):
+        rep = sl2_irrep_matrices(m)
+        d = m + 1
+        ef = [[sum(rep.E[i][k] * rep.F[k][j] for k in range(d)) -
+               sum(rep.F[i][k] * rep.E[k][j] for k in range(d))
+               for j in range(d)] for i in range(d)]
+        assert ef == [list(r) for r in rep.H]
+        assert [rep.H[i][i] for i in range(d)] == [m - 2 * j for j in range(d)]

@@ -1,13 +1,14 @@
 """Exact linear algebra: dense Fraction routines and the integer echelon span."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wzw.linalg import (IntSpan, identity, invert, is_zero, mat_mul, mat_sub,
-                        nullspace, rank, rref, transpose, zeros)
+from wzw.linalg import (IntSpan, commutator, det, identity, invert, is_zero, mat_mul,
+                        mat_sub, rank, rref, strides, transpose, zeros)
 
 
 def fr(rows):
@@ -43,24 +44,56 @@ def test_invert_rejects_singular():
         invert(fr([[1, 2], [2, 4]]))
 
 
-def test_nullspace_vectors_are_killed():
-    a = fr([[1, 2, 3, 4], [2, 4, 6, 8], [1, 1, 1, 1]])
-    basis = nullspace(a)
-    assert len(basis) == 4 - rank(a)
-    for v in basis:
-        assert all(sum(row[j] * v[j] for j in range(4)) == 0 for row in a)
-
-
 def test_matrix_helpers():
     a = fr([[1, 2], [3, 4]])
     assert transpose(a) == fr([[1, 3], [2, 4]])
     assert is_zero(mat_sub(a, a))
     assert not is_zero(a)
+    assert is_zero(commutator(a, a))
+    assert commutator(fr([[0, 1], [0, 0]]), fr([[0, 0], [1, 0]])) == fr([[1, 0], [0, -1]])
+
+
+def test_det_small_cases():
+    assert det([]) == 1
+    assert det(fr([[2, 1], [1, 3]])) == 5
+    assert det(fr([[0, 1], [1, 0]])) == -1       # needs a row swap
+    assert det(fr([[1, 2], [2, 4]])) == 0
+    assert det([[Fraction(1, 2), 0], [0, Fraction(2, 3)]]) == Fraction(1, 3)
+
+
+def test_strides_flatten_row_major():
+    assert strides([]) == []
+    assert strides([5]) == [1]
+    assert strides([2, 3, 4]) == [12, 4, 1]
+    dims = (2, 3, 2)
+    steps = strides(dims)
+    flat = [sum(i * s for i, s in zip(idx, steps))
+            for idx in itertools.product(*(range(d) for d in dims))]
+    assert flat == list(range(2 * 3 * 2))
 
 
 entries = st.integers(min_value=-7, max_value=7)
 int_matrix = st.lists(st.lists(entries, min_size=4, max_size=4),
                       min_size=2, max_size=5)
+
+
+@st.composite
+def square_pair(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    square = st.lists(st.lists(st.integers(min_value=-3, max_value=3),
+                               min_size=n, max_size=n), min_size=n, max_size=n)
+    return fr(draw(square)), fr(draw(square))
+
+
+@settings(max_examples=80, deadline=None)
+@given(square_pair())
+def test_det_is_the_rank_test_and_multiplicative(pair):
+    a, b = pair
+    n = len(a)
+    assert (det(a) == 0) == (rank(a) < n)
+    if det(a):
+        assert det(a) * det(invert(a)) == 1
+    assert det(mat_mul(a, b)) == det(a) * det(b)
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,8 +7,7 @@ import pytest
 
 from wzw.errors import InputError
 from wzw.oracle import (CoinvariantProblem, npoint_block_rank, npoint_block_ranks,
-                        propagation_check, sl2_irrep_matrices, three_point_rank,
-                        three_point_ranks)
+                        propagation_check, three_point_rank, three_point_ranks)
 
 
 def classical_triple(l, m, n):
@@ -16,17 +15,6 @@ def classical_triple(l, m, n):
     if (l + m + n) % 2:
         return 0
     return int(abs(l - m) <= n <= l + m)
-
-
-def test_irrep_matrices_bracket():
-    for m in range(5):
-        rep = sl2_irrep_matrices(m)
-        d = m + 1
-        ef = [[sum(rep.E[i][k] * rep.F[k][j] for k in range(d)) -
-               sum(rep.F[i][k] * rep.E[k][j] for k in range(d))
-               for j in range(d)] for i in range(d)]
-        assert ef == [list(r) for r in rep.H]
-        assert [rep.H[i][i] for i in range(d)] == [m - 2 * j for j in range(d)]
 
 
 def test_three_point_classical_rank():
