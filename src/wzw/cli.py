@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import checks
 from .errors import InputError, InternalError
 from .fusion import alphabet, fusion_table
-from .kz import kz_system, parallel_transport
+from .kz import flatness_check, kz_system, parallel_transport
 from .liealg import build_root_system, parse_algebra
 from .oracle import (CoinvariantProblem, npoint_block_ranks,
                      propagation_check, three_point_ranks)
@@ -148,15 +148,23 @@ def _frac_matrix(mat):
     return [[str(Fraction(v)) for v in row] for row in mat]
 
 
-def _cmd_kz_matrices(args):
+def _kz_system(args):
+    """The system of the flags, rejected when its level truncation is not flat."""
     if args.algebra != "A1":
         raise InputError(f"kz supports algebra A1 only, got {args.algebra!r}")
-    marks = _parse_ints(args.labels)
-    system = kz_system(args.level, marks)
+    system = kz_system(args.level, _parse_ints(args.labels))
+    if system.truncated and not flatness_check(system):
+        raise InputError(f"level truncation is not supported for labels {system.labels} "
+                         f"at level {system.level}: the truncated connection is not flat")
+    return system
+
+
+def _cmd_kz_matrices(args):
+    system = _kz_system(args)
     matrices = [{"i": i, "j": j, "entries": _frac_matrix(system.a_matrices[(i, j)])}
                 for (i, j) in sorted(system.a_matrices)]
     payload = {"algebra": args.algebra, "level": args.level,
-               "labels": list(marks), "dim": system.dim,
+               "labels": list(system.labels), "dim": system.dim,
                "classical_dim": system.classical_dim,
                "truncated": system.truncated,
                "base_point": [str(z) for z in system.base_point],
@@ -196,10 +204,7 @@ def _load_path(filename: str, n: int) -> list:
 
 
 def _cmd_kz_transport(args):
-    if args.algebra != "A1":
-        raise InputError(f"kz supports algebra A1 only, got {args.algebra!r}")
-    marks = _parse_ints(args.labels)
-    system = kz_system(args.level, marks)
+    system = _kz_system(args)
     waypoints = _load_path(args.path, system.n)
     res = parallel_transport(system, waypoints, steps=args.steps,
                              tolerance=args.tolerance)

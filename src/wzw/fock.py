@@ -549,7 +549,8 @@ class IntegrableQuotient:
     `kept` / `kept_minus` hold the indices of the basis elements representing
     the quotient on each side; `proj_plus[n]` (resp. `proj_minus[n]`) is the
     rational (q x dim) matrix sending a degree-n coordinate vector to its
-    quotient coordinates over the kept basis.
+    quotient coordinates over the kept basis.  `gram_inverse[n]` is the
+    inverse of the degree-n Gram block between the kept bases.
     """
 
     module: InducedModule
@@ -560,6 +561,7 @@ class IntegrableQuotient:
     kept_minus: dict
     proj_plus: dict
     proj_minus: dict
+    gram_inverse: dict
 
     def dim(self, n: int) -> int:
         return len(self.kept.get(n, ())) if 0 <= n <= self.degree_bound else 0
@@ -601,7 +603,7 @@ def integrable_quotient(module: InducedModule, d: int | None = None) -> Integrab
     pairing = GramPairing(module, minus)
     if len(_pivot_columns(pairing.gram(0))) != module.mu + 1:
         raise InternalError("degree-0 pairing is singular; b_mu must be perfect")
-    kept, kept_minus, proj_plus, proj_minus = {}, {}, {}, {}
+    kept, kept_minus, proj_plus, proj_minus, gram_inverse = {}, {}, {}, {}, {}
     for n in range(d + 1):
         g = pairing.gram(n)
         km = _pivot_columns(g)
@@ -610,15 +612,19 @@ def integrable_quotient(module: InducedModule, d: int | None = None) -> Integrab
             raise InternalError("Gram matrix row and column ranks disagree")
         kept[n], kept_minus[n] = kp, km
         if not kp:
-            proj_plus[n], proj_minus[n] = [], []
+            proj_plus[n], proj_minus[n], gram_inverse[n] = [], [], []
             continue
         g_km = [[row[j] for j in km] for row in g]
-        inv = invert([g_km[i] for i in kp])
+        try:
+            inv = gram_inverse[n] = invert([g_km[i] for i in kp])
+        except ValueError:
+            raise InternalError(f"degree-{n} quotient pairing is not perfect") from None
         proj_plus[n] = transpose(mat_mul(g_km, inv))
         proj_minus[n] = mat_mul(inv, [g[i] for i in kp])
     return IntegrableQuotient(module=module, minus=minus, pairing=pairing,
                               degree_bound=d, kept=kept, kept_minus=kept_minus,
-                              proj_plus=proj_plus, proj_minus=proj_minus)
+                              proj_plus=proj_plus, proj_minus=proj_minus,
+                              gram_inverse=gram_inverse)
 
 
 @dataclass(eq=False)
@@ -640,24 +646,8 @@ def gluing_tensor(level: int, mu: int, d: int) -> GluingTensorSeries:
     construction for every generator and |n| <= 2 within the degree bound,
     the n = 0 case being plain g-invariance.
     """
-    module = induced_module(level, mu, d)
-    quot = integrable_quotient(module, d)
-    pairing = quot.pairing
-
-    terms = []
-    for n in range(d + 1):
-        kp, km = quot.kept[n], quot.kept_minus[n]
-        if not kp:
-            terms.append([])
-            continue
-        g = pairing.gram(n)
-        gq = [[Fraction(g[i][j]) for j in km] for i in kp]
-        try:
-            ginv = invert(gq)
-        except ValueError:
-            raise InternalError(f"degree-{n} quotient pairing is not perfect") from None
-        terms.append(transpose(ginv))
-
+    quot = integrable_quotient(induced_module(level, mu, d), d)
+    terms = [transpose(quot.gram_inverse[n]) for n in range(d + 1)]
     series = GluingTensorSeries(level=level, mu=mu, degree_bound=d,
                                 quotient=quot, terms=terms)
     _verify_gluing_recursion(series)

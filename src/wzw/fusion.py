@@ -1,46 +1,68 @@
-"""Level-truncated fusion rings.
+"""Level-truncated fusion rings on integer index tables.
 
-The alphabet P_l is the finite set of dominant weights of level <= l.  Fusion
-coefficients are computed by the Kac-Walton rule: take the classical tensor
-decomposition, shift by rho, and fold back into the level-(l + h) alcove with
-the affine reflection x -> x - ((x,theta) - (l+h)) theta, alternating signs
-and dropping anything that lands on a wall.  `fusion_table` additionally
-verifies the ring axioms (unit, duality, full symmetry, associativity) before
-returning; a violated axiom is an implementation bug, not user error.
+The alphabet P_l is the finite set of dominant weights of level <= l, sorted,
+and a label is its position in that tuple: every table below is indexed by
+positions, and weights are translated once, at the boundary, by `index`.
+`dual` is the permutation sending a label to its dual.  Fusion coefficients
+are computed by the Kac-Walton rule: take the classical tensor decomposition,
+shift by rho, and fold back into the level-(l + h) alcove with the affine
+reflection x -> x - ((x,theta) - (l+h)) theta, alternating signs and dropping
+anything that lands on a wall.  Rows N(i, j, .) are filled lazily, on first
+use, so a point lookup pays for one product and not for the whole ring.
+`fusion_table` fills every row and verifies each ring axiom once (full
+symmetry, unit and duality, associativity) before returning; a violated
+axiom is an implementation bug, not user error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 from .errors import InputError, InternalError
 from .liealg import (RootSystem, Weight, dominant_with_sign, dual_weight,
                      level_of, tensor_decompose)
+from .linalg import mat_mul
 
 
 @dataclass(frozen=True)
 class FusionAlphabet:
+    """The labels of one (algebra, level); `dual[i]` is the position of labels[i]*."""
+
     rs: RootSystem
     level: int
     labels: tuple[Weight, ...]
+    dual: tuple[int, ...]
+    _pos: dict = field(compare=False, repr=False)
+    _rows: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __contains__(self, mu) -> bool:
-        return tuple(mu) in self._label_set
-
-    @property
-    def _label_set(self) -> frozenset:
-        return frozenset(self.labels)
+        return tuple(mu) in self._pos
 
     def index(self, mu) -> int:
         try:
-            return self.labels.index(tuple(mu))
-        except ValueError:
+            return self._pos[tuple(mu)]
+        except KeyError:
             raise InputError(f"label {tuple(mu)} is not in the level-{self.level} "
                              f"alphabet of {self.rs.name}") from None
 
+    def row(self, i: int, j: int) -> tuple[int, ...]:
+        """N(labels[i], labels[j], labels[k]) for every position k, memoized."""
+        row = self._rows.get((i, j))
+        if row is None:
+            lam, mu = self.labels[i], self.labels[j]
+            counts = [0] * len(self.labels)
+            for sigma, m in _truncated_product(self.rs, self.level, lam, mu).items():
+                if sigma not in self._pos:
+                    raise InternalError(f"fusion axiom 'closure' violated: {lam} x {mu} "
+                                        f"contains {sigma} outside the alphabet")
+                counts[self.dual[self._pos[sigma]]] = m
+            row = self._rows[i, j] = tuple(counts)
+        return row
 
+
+@lru_cache(maxsize=None)
 def alphabet(rs: RootSystem, level: int) -> FusionAlphabet:
     """All dominant weights of level <= `level`, sorted lexicographically."""
     if not isinstance(level, int) or level < 0:
@@ -50,10 +72,15 @@ def alphabet(rs: RootSystem, level: int) -> FusionAlphabet:
     bounds = [level // fl for fl in fund_levels]
     labels = sorted(mu for mu in product(*(range(b + 1) for b in bounds))
                     if level_of(rs, mu) <= level)
+    pos = {mu: i for i, mu in enumerate(labels)}
+    dual = []
     for mu in labels:
-        if dual_weight(rs, mu) not in labels:
+        star = dual_weight(rs, mu)
+        if star not in pos:
             raise InternalError(f"alphabet of {rs.name} level {level} not dual-closed at {mu}")
-    return FusionAlphabet(rs=rs, level=level, labels=tuple(labels))
+        dual.append(pos[star])
+    return FusionAlphabet(rs=rs, level=level, labels=tuple(labels), dual=tuple(dual),
+                          _pos=pos)
 
 
 @lru_cache(maxsize=None)
@@ -91,72 +118,50 @@ def _truncated_product(rs: RootSystem, level: int, lam: Weight, mu: Weight) -> d
 
 def fusion_coeff(alph: FusionAlphabet, lam, mu, nu) -> int:
     """N_{lam,mu,nu}: the dimension of the three-holed-sphere block."""
-    lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
-    for w in (lam, mu, nu):
-        if w not in alph:
-            raise InputError(f"label {w} is not in the level-{alph.level} "
-                             f"alphabet of {alph.rs.name}")
-    prod = _truncated_product(alph.rs, alph.level, lam, mu)
-    return prod.get(dual_weight(alph.rs, nu), 0)
+    i, j, k = alph.index(lam), alph.index(mu), alph.index(nu)
+    return alph.row(i, j)[k]
 
 
 @dataclass(frozen=True)
 class FusionRing:
+    """A verified ring: table[i][j][k] = N(labels[i], labels[j], labels[k])."""
+
     alphabet: FusionAlphabet
-    coeffs: dict = field(compare=False)  # sorted label triple -> positive int
+    table: tuple = field(compare=False)
 
     def coeff(self, lam, mu, nu) -> int:
-        key = tuple(sorted((tuple(lam), tuple(mu), tuple(nu))))
-        return self.coeffs.get(key, 0)
+        alph = self.alphabet
+        return self.table[alph.index(lam)][alph.index(mu)][alph.index(nu)]
 
     def nonzero_ordered(self):
         """All ordered index triples (i,j,k) with N != 0, sorted; for serialization."""
-        labels = self.alphabet.labels
-        out = []
-        for i, j, k in product(range(len(labels)), repeat=3):
-            n = self.coeff(labels[i], labels[j], labels[k])
-            if n:
-                out.append(((i, j, k), n))
-        return out
+        return [((i, j, k), n) for i, plane in enumerate(self.table)
+                for j, row in enumerate(plane) for k, n in enumerate(row) if n]
 
 
 def fusion_table(alph: FusionAlphabet) -> FusionRing:
-    """Compute every coefficient and verify the fusion-ring axioms."""
-    rs, labels = alph.rs, alph.labels
-    dual = {mu: dual_weight(rs, mu) for mu in labels}
-    products = {}
-    for lam, mu in product(labels, repeat=2):
-        prod = _truncated_product(rs, alph.level, lam, mu)
-        for sigma in prod:
-            if sigma not in alph._label_set:
-                raise InternalError(f"fusion axiom 'closure' violated: {lam} x {mu} "
-                                    f"contains {sigma} outside the alphabet")
-        products[lam, mu] = prod
+    """Fill every row and verify each fusion-ring axiom once."""
+    labels, dual = alph.labels, alph.dual
+    size = len(labels)
+    table = tuple(tuple(alph.row(i, j) for j in range(size)) for i in range(size))
 
-    # every ordered reading of a triple must give the same coefficient
-    coeffs: dict[tuple, int] = {}
-    for lam, mu, nu in product(labels, repeat=3):
-        n = products[lam, mu].get(dual[nu], 0)
-        key = tuple(sorted((lam, mu, nu)))
-        prev = coeffs.setdefault(key, n)
-        if prev != n:
-            raise InternalError(f"fusion axiom 'symmetry' violated at {key}: "
-                                f"{prev} != {n} reading ({lam},{mu},{nu})")
-    coeffs = {key: n for key, n in coeffs.items() if n}
-    ring = FusionRing(alphabet=alph, coeffs=coeffs)
+    # the transpositions (12) and (23) generate every reordering of a triple
+    for i, j, k in product(range(size), repeat=3):
+        if not table[i][j][k] == table[j][i][k] == table[i][k][j]:
+            raise InternalError(f"fusion axiom 'symmetry' violated at "
+                                f"({labels[i]},{labels[j]},{labels[k]})")
 
-    zero = (0,) * rs.rank
-    for mu, nu in product(labels, repeat=2):
-        want = 1 if nu == dual[mu] else 0
-        if ring.coeff(zero, mu, nu) != want:
-            raise InternalError(f"fusion axiom 'unit/duality' violated at (0,{mu},{nu})")
+    # labels[0] is the zero weight: N(0, j, k) = 1 exactly when k = j*
+    for j in range(size):
+        if table[0][j] != tuple(int(k == dual[j]) for k in range(size)):
+            raise InternalError(f"fusion axiom 'unit/duality' violated at (0,{labels[j]})")
 
-    def four_point(lam, mu, nu, tau) -> int:
-        return sum(ring.coeff(lam, mu, sigma)
-                   * ring.coeff(dual[sigma], nu, tau) for sigma in labels)
-
-    for quad in product(labels, repeat=4):
-        base = four_point(*sorted(quad))
-        if four_point(*quad) != base:
-            raise InternalError(f"fusion axiom 'associativity' violated at {quad}")
-    return ring
+    # with full symmetry, associativity is the commuting of the fusion
+    # matrices M_a[b][c] = N(a, b, c*)
+    mats = [[[plane[b][dual[c]] for c in range(size)] for b in range(size)]
+            for plane in table]
+    for a, b in combinations(range(size), 2):
+        if mat_mul(mats[a], mats[b]) != mat_mul(mats[b], mats[a]):
+            raise InternalError(f"fusion axiom 'associativity' violated: "
+                                f"M_{labels[a]} and M_{labels[b]} do not commute")
+    return FusionRing(alphabet=alph, table=table)

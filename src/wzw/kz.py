@@ -273,10 +273,14 @@ class TransportResult:
     converged: bool
 
     def __post_init__(self):
+        # a holonomy is invertible, so |det| inside the error estimate means the
+        # steps do not resolve the path, not a broken invariant
         d = abs(_det(self.matrix))
         if self.matrix and d <= self.error_estimate:
-            raise InternalError(f"transport matrix is numerically singular: "
-                                f"|det| = {d:.3e} <= error {self.error_estimate:.3e}")
+            raise InputError(f"transport matrix is numerically singular: "
+                             f"|det| = {d:.3e} <= error {self.error_estimate:.3e}; "
+                             f"use more --steps or a path farther from the "
+                             f"diagonals z_i = z_j")
 
 
 def _det(m: list) -> complex:

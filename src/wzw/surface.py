@@ -3,8 +3,11 @@
 Dimensions of the block spaces are computed as state sums over trivalent
 graphs: internal edges carry labels from the level-l alphabet, every vertex
 contributes a fusion coefficient, and an edge shows one end its label and the
-other end the dual.  Base cases (disk, cylinder, sphere, torus) bypass the
-graph machinery.
+other end the dual.  The sum runs on positions in the alphabet: boundary
+labels are translated once, duals come from the alphabet's `dual`
+permutation, and each vertex reads a lazily filled fusion row
+`alphabet.row(i, j)[k]`.  Base cases (disk, cylinder, sphere, torus) bypass
+the graph machinery.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .fusion import FusionAlphabet, alphabet, fusion_coeff
+from .fusion import FusionAlphabet, alphabet
 from .liealg import RootSystem, Weight, casimir_eigenvalue, dual_weight
 
 
@@ -150,26 +153,22 @@ def _zero(rs: RootSystem) -> Weight:
 
 def _state_sum(surface: MarkedSurface, graph: TrivalentGraph) -> int:
     alph = surface.alphabet
-    rs = surface.rs
-    incid = [[] for _ in range(graph.num_vertices)]  # per-vertex weight thunks
+    dual = alph.dual
+    legs = [alph.index(lam) for lam in surface.boundary_labels]
+    incid = [[] for _ in range(graph.num_vertices)]  # per-vertex (kind, index)
     for i, vtx in enumerate(graph.legs):
         incid[vtx].append(("leg", i))
     for e, (a, b) in enumerate(graph.edges):
         incid[a].append(("out", e))
         incid[b].append(("in", e))
     total = 0
-    for labeling in itertools.product(alph.labels, repeat=len(graph.edges)):
+    for labeling in itertools.product(range(len(alph.labels)), repeat=len(graph.edges)):
         prod = 1
-        for vtx in range(graph.num_vertices):
-            ws = []
-            for kind, idx in incid[vtx]:
-                if kind == "leg":
-                    ws.append(surface.boundary_labels[idx])
-                elif kind == "out":
-                    ws.append(labeling[idx])
-                else:
-                    ws.append(dual_weight(rs, labeling[idx]))
-            prod *= fusion_coeff(alph, ws[0], ws[1], ws[2])
+        for ends in incid:
+            i, j, k = (legs[idx] if kind == "leg" else
+                       labeling[idx] if kind == "out" else dual[labeling[idx]]
+                       for kind, idx in ends)
+            prod *= alph.row(i, j)[k]
             if prod == 0:
                 break
         total += prod

@@ -1,5 +1,6 @@
 """Front-end contract: pinned outputs, formats, determinism, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -127,6 +128,54 @@ def test_kz_transport_rejects_overflowing_coordinates(tmp_path, first):
     assert out.returncode == 1
     assert out.stdout == ""
     assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
+
+
+def test_kz_transport_under_resolved_path_is_an_input_error(tmp_path):
+    # the path grazes z_0 = z_1 at distance 1e-10, inside what 100 steps resolve
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps({"points": [[[1e-10, 1], [0, 0], [-2, 0]],
+                                           [[1e-10, -1], [0, 0], [-2, 0]]]}))
+    out = run_cli("kz", "transport", "--level", "2", "--labels", "1,1,2",
+                  "--path", str(path), "--steps", "100")
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert "--steps" in out.stderr and "Traceback" not in out.stderr
+
+
+def test_kz_truncation_must_be_flat(tmp_path):
+    flat = run_cli("kz", "matrices", "--level", "5", "--labels", "3,3,3,3")
+    assert flat.returncode == 0
+    assert json.loads(flat.stdout)["truncated"] is True
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"points": [[[8, 0], [4, 0], [0, 0], [-4, 0], [-8, 0]],
+                                           [[8, 1], [4, 0], [0, 0], [-4, 0], [-8, 0]]]}))
+    for argv in (("matrices", "--level", "4"), ("matrices", "--level", "3"),
+                 ("transport", "--level", "4", "--path", str(path))):
+        out = run_cli("kz", *argv, "--labels", "2,2,2,2,2")
+        assert out.returncode == 1, argv
+        assert out.stdout == ""
+        assert "truncation is not supported" in out.stderr
+
+
+# sha256 prefixes of stdout, recorded before fusion moved to index tables
+GOLDEN = [
+    (("fusion-table", "--algebra", "A2", "--level", "2"), "c523d7a4f756d0c1"),
+    (("fusion-table", "--algebra", "A1", "--level", "8", "--format", "tsv"),
+     "7b86dbc954cc656f"),
+    (("fusion-table", "--algebra", "G2", "--level", "2"), "dd9da5ec966d0a22"),
+    (("dim", "--algebra", "A2", "--level", "2", "--genus", "3"), "7e3ee70945c3b5ef"),
+    (("dim", "--algebra", "A1", "--level", "4", "--genus", "2", "--labels", "1,1,2,2"),
+     "3a654582736dfcad"),
+    (("verify", "fusion-axioms"), "b6d024083d7e6401"),
+    (("verify", "block-dimensions"), "1b2e34b36e1e6a85"),
+]
+
+
+@pytest.mark.parametrize("args,digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_golden_stdout(args, digest):
+    out = run_cli(*args)
+    assert out.returncode == 0
+    assert hashlib.sha256(out.stdout.encode()).hexdigest()[:16] == digest
 
 
 def test_verify_virasoro_report():

@@ -70,6 +70,8 @@ def test_label_outside_alphabet_rejected():
     with pytest.raises(InputError):
         fusion_coeff(alph, (3,), (0,), (1,))
     with pytest.raises(InputError):
+        fusion_table(alph).coeff((3,), (0,), (1,))
+    with pytest.raises(InputError):
         alphabet(rs, -1)
 
 
@@ -117,3 +119,43 @@ def test_a2_level_two_spot_values():
     assert fusion_coeff(alph, (1, 0), (1, 0), dual_weight(rs, (0, 1))) == 1
     # 8x8 sees the adjoint once only at level 2 (one copy dies by truncation)
     assert fusion_coeff(alph, (1, 1), (1, 1), (1, 1)) == 1
+
+
+def ising(names):
+    sigmas = names.count("sigma")
+    return int(sigmas == 2 or (sigmas == 0 and names.count("psi") % 2 == 0))
+
+
+def fibonacci(names):
+    return int(names.count("tau") != 1)
+
+
+def z2_squared(elements):
+    return int(all(sum(g[c] for g in elements) % 2 == 0 for c in range(2)))
+
+
+@pytest.mark.parametrize("series,rank,names,rule", [
+    # B2 level 1 is Ising: sigma.sigma = 1 + psi, sigma.psi = sigma, psi.psi = 1
+    ("B", 2, {(0, 0): "1", (0, 1): "sigma", (1, 0): "psi"}, ising),
+    # G2 level 1 is Fibonacci: tau.tau = 1 + tau
+    ("G", 2, {(0, 0): "1", (0, 1): "tau"}, fibonacci),
+    # D4 level 1 is the group ring of Z2 x Z2
+    ("D", 4, {(0, 0, 0, 0): (0, 0), (0, 0, 0, 1): (1, 0), (0, 0, 1, 0): (0, 1),
+              (1, 0, 0, 0): (1, 1)}, z2_squared),
+], ids=["B2", "G2", "D4"])
+def test_level_one_rings_match_closed_forms(series, rank, names, rule):
+    alph = alphabet(build_root_system(series, rank), 1)
+    assert set(alph.labels) == set(names)
+    ring = fusion_table(alph)
+    for triple in itertools.product(alph.labels, repeat=3):
+        assert ring.coeff(*triple) == rule([names[w] for w in triple]), triple
+
+
+@pytest.mark.parametrize("series,rank,level", [
+    ("A", 1, 4), ("A", 2, 3), ("B", 2, 2), ("G", 2, 2), ("D", 4, 1)])
+def test_dual_permutation_is_dual_weight(series, rank, level):
+    rs = build_root_system(series, rank)
+    alph = alphabet(rs, level)
+    for i, mu in enumerate(alph.labels):
+        assert alph.labels[alph.dual[i]] == dual_weight(rs, mu)
+        assert alph.dual[alph.dual[i]] == i

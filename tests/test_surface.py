@@ -58,6 +58,21 @@ def test_genus_two_higher_level():
     assert a == b == 10
 
 
+@pytest.mark.parametrize("series,rank,level,want", [
+    ("B", 2, 1, 10),   # Ising
+    ("G", 2, 1, 5),    # Fibonacci
+    ("D", 4, 1, 16),   # Z2 x Z2: |G|^2
+    ("B", 2, 2, None),
+    ("G", 2, 2, None),
+], ids=["B2-l1", "G2-l1", "D4-l1", "B2-l2", "G2-l2"])
+def test_genus_two_graph_independence_beyond_a(series, rank, level, want):
+    surf = MarkedSurface(build_root_system(series, rank), level, 2, ())
+    theta = block_dimension(surf, theta_graph())
+    assert block_dimension(surf, dumbbell_graph()) == theta
+    if want is not None:
+        assert theta == want
+
+
 @pytest.mark.parametrize("level", range(4))
 def test_four_point_channel_agreement(level):
     labels = [(m,) for m in range(level + 1)]
