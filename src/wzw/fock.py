@@ -1,20 +1,28 @@
-"""Truncated graded Fock and induced affine modules, with exact window tracking.
+"""Truncated graded induced modules of current algebras, with exact window tracking.
 
 Every operator here is a GradedOperator: a band of exact matrices between
 graded pieces together with the degree window on which the truncation agrees
 with the true operator.  Compositions and sums intersect windows, so identity
 checks on a window are honest statements about the untruncated algebra.
 
+One construction serves every current algebra g with an invariant form: the
+module induced from a g-irrep at level l, and the Sugawara operators on it.
 Sign conventions, pinned once:
 
-* the oscillator t^k removes a part k (annihilation) for k > 0, adds one for
-  k < 0, and t^0 acts as zero (constants act trivially on the Fock space);
-* L_k := -C(D_k) with hbar = 1, where C(D_k) = (1/2) sum_{i+j=k} :t^i t^j:
-  and normal ordering applies the higher exponent first; hence L_0 = -n on
-  degree n and [L_k, L_l] = (l-k) L_{k+l} + delta_{k+l,0} (k^3-k)/12;
-* the Sugawara operator T(D_k) = -C_g(D_k)/(level + 2) on an induced sl2
-  module satisfies [T(D_k), X t^m] = m X t^{m+k} and acts on degree d as
-  -(d + c_mu/(2(level+2))).
+* X t^k for k >= 1 annihilates the irrep and moves past creation factors by
+  [X t^k, Y t^m] = [X, Y] t^{k+m} + k delta_{k+m,0} c(X, Y) l; X t^0 acts
+  through the irrep;
+* T(D_k) := -C(D_k)/(l + h) with h the dual Coxeter number, where
+  C(D_k) = (1/2) sum_{i+j=k} sum_a :X_a t^i X^a t^j: over dual bases of c and
+  normal ordering applies the higher exponent first; then
+  [T(D_k), X t^m] = m X t^{m+k}, and T(D_k) satisfies the Virasoro relations
+  with central charge c = l dim(g)/(l + h);
+* for sl2 (h = 2), T(D_0) acts on degree d as -(d + c_mu/(2(l+2)));
+* the c = 1 oscillator Virasoro L_k is the Heisenberg case (dim g = 1, h = 0)
+  at level 1 on the Fock space `fock_space(d)`: for k > 0, t^k removes a
+  part k with coefficient k times its multiplicity, t^{-k} adds one, t^0
+  acts as zero, L_0 = -n on degree n and
+  [L_k, L_l] = (l-k) L_{k+l} + delta_{k+l,0} (k^3-k)/12.
 
 The induced module uses the PBW basis of monomials X t^{-k_r} ... X t^{-k_1} v
 with factors sorted descending; straightening is exact integer arithmetic.
@@ -25,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 from .errors import InputError, InternalError
 from .liealg import sl2_irrep_matrices
@@ -34,61 +43,62 @@ _NEG = -(10 ** 9)  # conceptual lower window edge; degrees below 0 are empty
 
 
 # ---------------------------------------------------------------------------
-# graded spaces
+# current algebras and their induced modules
 
-@lru_cache(maxsize=None)
-def _partitions(n: int) -> tuple[tuple[int, ...], ...]:
-    if n == 0:
-        return ((),)
-    out = []
+@dataclass(frozen=True, eq=False)
+class CurrentAlgebra:
+    """A Lie algebra with an invariant form, as the Sugawara construction reads it.
 
-    def rec(remaining, bound, acc):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for part in range(min(remaining, bound), 0, -1):
-            rec(remaining - part, part, acc + [part])
+    Generators are indexed by position in `gen_names`.  `bracket[(a, b)]`
+    lists the (c, coefficient) terms of [X_a, X_b], `form[(a, b)]` is the
+    invariant form c(X_a, X_b), `dual_pairs` lists the (a, b, coefficient)
+    terms of the Casimir sum over dual bases, `dual_coxeter` is h, and
+    `irrep(mu)` returns the generator matrices on the (mu+1)-dim irrep
+    labelled mu, whose basis vector v_i has weight mu - 2i.
+    """
 
-    rec(n, n, [])
-    return tuple(sorted(out))
+    gen_names: tuple
+    gen_weight: tuple
+    bracket: dict
+    form: dict
+    dual_pairs: tuple
+    dual_coxeter: int
+    irrep: Callable
 
 
-class OscillatorSpace:
-    """Polynomial Fock space graded by total degree; basis = partitions."""
+def _sl2_irrep(mu: int) -> tuple:
+    rep = sl2_irrep_matrices(mu)
+    return (rep.E, rep.H, rep.F)
 
-    kind = "oscillator"
 
-    def __init__(self, degree_bound: int):
-        if degree_bound < 0:
-            raise InputError("degree bound must be nonnegative")
-        self.degree_bound = degree_bound
-
-    def dim(self, n: int) -> int:
-        return 0 if n < 0 else len(_partitions(n))
-
-    def basis(self, n: int):
-        return _partitions(n) if n >= 0 else ()
-
-    def __eq__(self, other):
-        return isinstance(other, OscillatorSpace) and other.degree_bound == self.degree_bound
-
-    def __hash__(self):
-        return hash(("oscillator", self.degree_bound))
+def _heisenberg_irrep(mu: int) -> tuple:
+    if mu != 0:
+        raise InputError(f"the Heisenberg algebra has only the label 0, got {mu}")
+    return (((0,),),)
 
 
 # sl2 generators are indexed E, H, F; brackets and the normalized invariant
-# form fixed by [E,F] = H, [H,E] = 2E, c(E,F) = 1, c(H,H) = 2
-_GEN_NAMES = ("E", "H", "F")
-_GEN_WEIGHT = (2, 0, -2)
-_BRACKET = {(0, 1): ((0, -2),), (1, 0): ((0, 2),),
-            (0, 2): ((1, 1),), (2, 0): ((1, -1),),
-            (1, 2): ((2, -2),), (2, 1): ((2, 2),)}
-_FORM = {(0, 2): 1, (2, 0): 1, (1, 1): 2}
+# form fixed by [E,F] = H, [H,E] = 2E, c(E,F) = 1, c(H,H) = 2; the Casimir
+# is E(x)F + F(x)E + H(x)H/2
+SL2 = CurrentAlgebra(
+    gen_names=("E", "H", "F"), gen_weight=(2, 0, -2),
+    bracket={(0, 1): ((0, -2),), (1, 0): ((0, 2),),
+             (0, 2): ((1, 1),), (2, 0): ((1, -1),),
+             (1, 2): ((2, -2),), (2, 1): ((2, 2),)},
+    form={(0, 2): 1, (2, 0): 1, (1, 1): 2},
+    dual_pairs=((0, 2, 1), (2, 0, 1), (1, 1, Fraction(1, 2))),
+    dual_coxeter=2, irrep=_sl2_irrep)
+
+# one abelian generator t with c(t, t) = 1; its level-1 induced module is the
+# oscillator Fock space
+HEISENBERG = CurrentAlgebra(
+    gen_names=("t",), gen_weight=(0,), bracket={}, form={(0, 0): 1},
+    dual_pairs=((0, 0, 1),), dual_coxeter=0, irrep=_heisenberg_irrep)
 
 
 @lru_cache(maxsize=None)
-def _colored_partitions(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Multisets of factors (k, gen), k >= 1, summing to n, sorted descending."""
+def _colored_partitions(n: int, colors: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Multisets of factors (k, gen), k >= 1, gen < colors, summing to n, sorted descending."""
     if n == 0:
         return ((),)
     out = []
@@ -98,25 +108,24 @@ def _colored_partitions(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
             out.append(tuple(acc))
             return
         for k in range(min(remaining, bound[0]), 0, -1):
-            gens = range(bound[1], -1, -1) if k == bound[0] else range(2, -1, -1)
+            gens = range(bound[1], -1, -1) if k == bound[0] else range(colors - 1, -1, -1)
             for g in gens:
                 rec(remaining - k, (k, g), acc + [(k, g)])
 
-    rec(n, (n, 2), [])
+    rec(n, (n, colors - 1), [])
     return tuple(sorted(out))
 
 
 class InducedModule:
-    """Level-l module induced from the (mu+1)-dim sl2 irrep, truncated at d.
+    """Level-l module induced from the (mu+1)-dim irrep of a current algebra, truncated at d.
 
     Basis elements are pairs (mono, i): the monomial of creation factors
     (k, gen) applied to the weight vector v_i.  The central element acts as
     the level; X t^k for k >= 1 kills V_mu; X t^0 acts through the irrep.
     """
 
-    kind = "induced-affine"
-
-    def __init__(self, level: int, mu: int, degree_bound: int):
+    def __init__(self, level: int, mu: int, degree_bound: int,
+                 algebra: CurrentAlgebra = SL2):
         if not isinstance(level, int) or level < 0:
             raise InputError(f"level must be a nonnegative integer, got {level!r}")
         if not isinstance(mu, int) or mu < 0 or mu > level:
@@ -126,19 +135,23 @@ class InducedModule:
         self.level = level
         self.mu = mu
         self.degree_bound = degree_bound
-        self.rep = sl2_irrep_matrices(mu)
-        self._mats = (self.rep.E, self.rep.H, self.rep.F)
+        self.algebra = algebra
+        self._mats = algebra.irrep(mu)
+        self._colors = len(algebra.gen_names)
+        self._gen_weight = algebra.gen_weight
+        self._bracket = algebra.bracket
+        self._form = algebra.form
         self._memo: dict = {}
         self._index: dict = {}
 
     def basis(self, n: int):
         if n < 0:
             return ()
-        return tuple((mono, i) for mono in _colored_partitions(n)
+        return tuple((mono, i) for mono in _colored_partitions(n, self._colors)
                      for i in range(self.mu + 1))
 
     def dim(self, n: int) -> int:
-        return 0 if n < 0 else len(_colored_partitions(n)) * (self.mu + 1)
+        return 0 if n < 0 else len(_colored_partitions(n, self._colors)) * (self.mu + 1)
 
     def index(self, n: int, elt) -> int:
         if n not in self._index:
@@ -147,7 +160,7 @@ class InducedModule:
 
     def weight(self, elt) -> int:
         mono, i = elt
-        return sum(_GEN_WEIGHT[g] for _, g in mono) + self.mu - 2 * i
+        return sum(self._gen_weight[g] for _, g in mono) + self.mu - 2 * i
 
     def apply_gen(self, m: int, g: int, elt) -> dict:
         """X_g t^m applied to a basis element; integer coefficients."""
@@ -175,11 +188,11 @@ class InducedModule:
                 for melt, c in self.apply_gen(m, g, (rest, vi)).items():
                     for melt2, c2 in self.apply_gen(-hk, hg, melt).items():
                         out[melt2] = out.get(melt2, 0) + c * c2
-                for g2, coef in _BRACKET.get((g, hg), ()):
+                for g2, coef in self._bracket.get((g, hg), ()):
                     for melt, c in self.apply_gen(m - hk, g2, (rest, vi)).items():
                         out[melt] = out.get(melt, 0) + coef * c
                 if m == hk:
-                    kappa = _FORM.get((g, hg), 0)
+                    kappa = self._form.get((g, hg), 0)
                     if kappa:
                         tgt = (rest, vi)
                         out[tgt] = out.get(tgt, 0) + m * kappa * self.level
@@ -189,7 +202,7 @@ class InducedModule:
 
     def action(self, m: int, gen) -> "GradedOperator":
         """X t^m as a GradedOperator (shift m) on the truncation."""
-        g = gen if isinstance(gen, int) else _GEN_NAMES.index(gen)
+        g = gen if isinstance(gen, int) else self.algebra.gen_names.index(gen)
         d = self.degree_bound
         hi = min(d, d + m)
         if hi < 0:
@@ -205,16 +218,22 @@ class InducedModule:
 
     def __eq__(self, other):
         return (isinstance(other, InducedModule)
-                and (other.level, other.mu, other.degree_bound)
-                == (self.level, self.mu, self.degree_bound))
+                and (other.algebra, other.level, other.mu, other.degree_bound)
+                == (self.algebra, self.level, self.mu, self.degree_bound))
 
     def __hash__(self):
-        return hash(("induced", self.level, self.mu, self.degree_bound))
+        return hash(("induced", self.algebra, self.level, self.mu, self.degree_bound))
 
 
 @lru_cache(maxsize=None)
-def induced_module(level: int, mu: int, degree_bound: int) -> InducedModule:
-    return InducedModule(level, mu, degree_bound)
+def induced_module(level: int, mu: int, degree_bound: int,
+                   algebra: CurrentAlgebra = SL2) -> InducedModule:
+    return InducedModule(level, mu, degree_bound, algebra)
+
+
+def fock_space(degree_bound: int) -> InducedModule:
+    """The oscillator Fock space: the level-1 Heisenberg module, basis = partitions."""
+    return induced_module(1, 0, degree_bound, HEISENBERG)
 
 
 # ---------------------------------------------------------------------------
@@ -320,148 +339,44 @@ def commutator(a: GradedOperator, b: GradedOperator) -> GradedOperator:
 
 
 # ---------------------------------------------------------------------------
-# oscillator Virasoro
+# Sugawara operators
 
-def oscillator_op(k: int, d: int) -> GradedOperator:
-    """t^k on the oscillator truncation of degree bound d."""
-    if abs(k) > d:
-        raise InputError(f"|k|={abs(k)} exceeds degree bound {d}: empty valid window")
-    space = OscillatorSpace(d)
+@lru_cache(maxsize=None)
+def sugawara_op(k: int, module: InducedModule) -> GradedOperator:
+    """T(D_k) = -C(D_k)/(level + h) on the induced-module truncation.
+
+    Unordered pairs i + j = k with i < j contribute once with the t^j factor
+    applied first; i = j contributes with coefficient 1/2.
+    """
+    d = module.degree_bound
     hi = min(d, d + k)
-    blocks = {}
-    for n in range(0, hi + 1):
-        blk = {}
-        for col, part in enumerate(space.basis(n)):
-            if k > 0:
-                mult = part.count(k)
-                if mult:
-                    img = list(part)
-                    img.remove(k)
-                    blk[_part_index(n - k, tuple(img)), col] = k * mult
-            elif k < 0:
-                img = tuple(sorted(part + (-k,), reverse=True))
-                blk[_part_index(n - k, img), col] = 1
-            # k == 0: constants act trivially (zero operator)
-        blocks[n] = blk
-    return GradedOperator(space, k, _NEG, hi, blocks)
-
-
-@lru_cache(maxsize=None)
-def _part_index(n: int, part: tuple) -> int:
-    return _partitions(n).index(part)
-
-
-def _quadratic_sum(k: int, d: int, factor) -> GradedOperator | None:
-    """sum over i+j=k of normal-ordered factor(i) o factor(j), higher first.
-
-    factor(m) returns the GradedOperator for exponent m, or None when the
-    term vanishes identically on the truncation (|m| > d or m == 0 for the
-    plain oscillator).  Unordered pairs i < j contribute once with the j
-    factor applied first; i = j contributes with coefficient 1/2.
-    """
-    total: GradedOperator | None = None
-    for j in range(k // 2 + 1, d + 1):
-        i = k - j
-        if abs(i) > d:
-            continue
-        a, b = factor(i), factor(j)
-        if a is None or b is None:
-            continue
-        term = a.compose(b)
-        total = term if total is None else total.add(term)
-    if k % 2 == 0:
-        m = k // 2
-        if abs(m) <= d:
-            a = factor(m)
-            if a is not None:
-                total_sq = a.compose(a).scale(Fraction(1, 2))
-                total = total_sq if total is None else total.add(total_sq)
-    return total
-
-
-def virasoro_op(k: int, d: int) -> GradedOperator:
-    """L_k = -C(D_k) on the oscillator truncation; L_0 acts as -n on degree n."""
-    if abs(k) > d:
+    if hi < 0:
         raise InputError(f"|k|={abs(k)} exceeds degree bound {d}: empty valid window")
-    space = OscillatorSpace(d)
-
-    def factor(m):
-        if m == 0 or abs(m) > d:
-            return None
-        return oscillator_op(m, d)
-
-    chat = _quadratic_sum(k, d, factor)
-    if chat is None:  # no terms survive: zero operator on the full band
-        return GradedOperator(space, k, _NEG, min(d, d + k), {})
-    out = chat.scale(-1)
-    out.lo = _NEG  # every dropped term was identically zero on the truncation
-    return out
-
-
-def check_virasoro_bracket(k: int, l: int, d: int) -> GradedOperator:
-    """Residual [L_k, L_l] - (l-k) L_{k+l} - central term; contract: zero.
-
-    The central term is delta_{k+l,0} (k^3 - k)/12 (central charge 1).
-    """
-    big = max(abs(k), abs(l))
-    if d < 2 * big + 2:
-        raise InputError(f"degree bound {d} < {2 * big + 2} leaves no usable window")
-    res = commutator(virasoro_op(k, d), virasoro_op(l, d))
-    res = res.sub(virasoro_op(k + l, d).scale(l - k))
-    if k + l == 0:
-        central = Fraction(k ** 3 - k, 12)
-        if central:
-            res = res.sub(GradedOperator.identity(OscillatorSpace(d), d).scale(central))
-    return res
-
-
-# ---------------------------------------------------------------------------
-# Sugawara operators on induced modules
-
-_DUAL_PAIRS = ((0, 2, 1), (2, 0, 1), (1, 1, Fraction(1, 2)))  # E(x)F + F(x)E + H(x)H/2
-
-
-@lru_cache(maxsize=None)
-def sugawara_op(k: int, module: InducedModule, d: int | None = None) -> GradedOperator:
-    """T(D_k) = -C_g(D_k)/(level + 2) on the induced-module truncation."""
-    if d is None:
-        d = module.degree_bound
-    if d > module.degree_bound:
-        raise InputError(f"degree {d} exceeds module bound {module.degree_bound}")
-    if min(d, d + k) < 0:
-        raise InputError(f"|k|={abs(k)} exceeds degree bound {d}: empty valid window")
+    algebra = module.algebra
 
     def factor_pair(i, j):
         term = None
-        for ga, gb, c in _DUAL_PAIRS:
+        for ga, gb, c in algebra.dual_pairs:
             piece = module.action(i, ga).compose(module.action(j, gb))
             if c != 1:
                 piece = piece.scale(c)
             term = piece if term is None else term.add(piece)
         return term
 
-    total = None
+    total = GradedOperator(module, k, _NEG, hi, {})
     for j in range(k // 2 + 1, d + 1):
-        i = k - j
-        if abs(i) > d:
-            continue
-        term = factor_pair(i, j)
-        total = term if total is None else total.add(term)
+        if abs(k - j) <= d:
+            total = total.add(factor_pair(k - j, j))
     if k % 2 == 0 and abs(k // 2) <= d:
-        half = factor_pair(k // 2, k // 2).scale(Fraction(1, 2))
-        total = half if total is None else total.add(half)
-    if total is None:
-        return GradedOperator(module, k, _NEG, min(d, d + k), {})
-    out = total.scale(Fraction(-1, module.level + 2))
-    out.lo = _NEG
-    out.hi = min(d, d + k)
-    return out
+        total = total.add(factor_pair(k // 2, k // 2).scale(Fraction(1, 2)))
+    return total.scale(Fraction(-1, module.level + algebra.dual_coxeter))
 
 
 def check_sugawara_bracket(k: int, l: int, module: InducedModule) -> GradedOperator:
     """Residual of [T(D_k), T(D_l)] = (l-k) T(D_{k+l}) + central; contract: zero.
 
-    The central scalar is delta_{k+l,0} (k^3-k)/12 * level*3/(level+2).
+    The central scalar is delta_{k+l,0} (k^3-k)/12 * c with the central charge
+    c = level * dim(g)/(level + h): 3l/(l+2) for sl2, 1 for the Fock space.
     """
     d = module.degree_bound
     big = max(abs(k), abs(l))
@@ -470,7 +385,10 @@ def check_sugawara_bracket(k: int, l: int, module: InducedModule) -> GradedOpera
     res = commutator(sugawara_op(k, module), sugawara_op(l, module))
     res = res.sub(sugawara_op(k + l, module).scale(l - k))
     if k + l == 0:
-        central = Fraction(k ** 3 - k, 12) * Fraction(module.level * 3, module.level + 2)
+        algebra = module.algebra
+        charge = Fraction(module.level * len(algebra.gen_names),
+                          module.level + algebra.dual_coxeter)
+        central = Fraction(k ** 3 - k, 12) * charge
         if central:
             res = res.sub(GradedOperator.identity(module, d).scale(central))
     return res
@@ -593,13 +511,10 @@ class IntegrableQuotient:
         return self._descend(op, n, self.kept_minus, self.proj_minus)
 
 
-def integrable_quotient(module: InducedModule, d: int | None = None) -> IntegrableQuotient:
+def integrable_quotient(module: InducedModule) -> IntegrableQuotient:
     """Quotient by the radical of b, computed degree by degree."""
-    if d is None:
-        d = module.degree_bound
-    if d > module.degree_bound:
-        raise InputError(f"degree {d} exceeds module bound {module.degree_bound}")
-    minus = induced_module(module.level, module.mu, module.degree_bound)
+    d = module.degree_bound
+    minus = induced_module(module.level, module.mu, d, module.algebra)
     pairing = GramPairing(module, minus)
     if len(_pivot_columns(pairing.gram(0))) != module.mu + 1:
         raise InternalError("degree-0 pairing is singular; b_mu must be perfect")
@@ -629,69 +544,50 @@ def integrable_quotient(module: InducedModule, d: int | None = None) -> Integrab
 
 @dataclass(eq=False)
 class GluingTensorSeries:
-    """epsilon_d = transpose inverse of the quotient Gram blocks of b_mu."""
+    """epsilon_d = transpose inverse of the quotient Gram blocks of b_mu.
+
+    residuals holds (n, generator name, dp, max-abs entry) for every checked
+    instance of the recursion; gluing_tensor raises unless each one is zero.
+    """
 
     level: int
     mu: int
     degree_bound: int
     quotient: IntegrableQuotient
     terms: list  # terms[d] = matrix of epsilon_d over the kept bases
+    residuals: list
 
 
 def gluing_tensor(level: int, mu: int, d: int) -> GluingTensorSeries:
     """The glueing element of degree <= d, with its defining recursion verified.
 
     epsilon_n lives in H+_n (x) H-_n (quotient bases); the recursion
-    (X t+^n (x) 1) eps_{d'+n} + (1 (x) X t-^{-n}) eps_{d'} = 0 is checked on
-    construction for every generator and |n| <= 2 within the degree bound,
-    the n = 0 case being plain g-invariance.
+    (X t+^n (x) 1) eps_{dp+n} + (1 (x) X t-^{-n}) eps_dp = 0 is checked on
+    construction for every generator, |n| <= 2 and every dp within the degree
+    bound, the n = 0 case being plain g-invariance.
     """
-    quot = integrable_quotient(induced_module(level, mu, d), d)
-    terms = [transpose(quot.gram_inverse[n]) for n in range(d + 1)]
-    series = GluingTensorSeries(level=level, mu=mu, degree_bound=d,
-                                quotient=quot, terms=terms)
-    _verify_gluing_recursion(series)
-    return series
-
-
-def gluing_recursion_residuals(series: GluingTensorSeries, nmax: int = 2,
-                               dmax: int | None = None) -> list:
-    """Residuals of (X t+^n (x) 1) eps_{dp+n} + (1 (x) X t-^{-n}) eps_dp.
-
-    Returns (n, generator name, dp, max-abs entry) tuples; the contract is
-    that every residual is exactly zero.
-    """
-    quot, d = series.quotient, series.degree_bound
+    quot = integrable_quotient(induced_module(level, mu, d))
     module, minus = quot.module, quot.minus
-    top = d if dmax is None else min(dmax, d)
-    out = []
-    for n in range(-nmax, nmax + 1):
-        if abs(n) > d:
-            continue
-        for g in range(3):
+    terms = [transpose(quot.gram_inverse[n]) for n in range(d + 1)]
+    residuals = []
+    for n in range(-min(2, d), min(2, d) + 1):
+        for g, gen in enumerate(module.algebra.gen_names):
             plus_op = module.action(n, g)
             minus_op = minus.action(-n, g)
-            for dp in range(top + 1):
-                if not 0 <= dp + n <= d:
-                    continue
+            for dp in range(max(0, -n), min(d, d - n) + 1):
                 # (X t+^n (x) 1) eps_{dp+n} = A . M_{dp+n};
                 # (1 (x) X t-^{-n}) eps_dp = M_dp . B^T
-                a_mat = quot.descend(plus_op, dp + n)
-                b_mat = quot.descend_minus(minus_op, dp)
-                lhs = mat_mul(a_mat, series.terms[dp + n])
-                rhs = mat_mul(series.terms[dp], transpose(b_mat))
+                lhs = mat_mul(quot.descend(plus_op, dp + n), terms[dp + n])
+                rhs = mat_mul(terms[dp], transpose(quot.descend_minus(minus_op, dp)))
                 worst = Fraction(0)
                 for i in range(quot.dim(dp)):
                     for j in range(quot.dim(dp + n)):
                         left = lhs[i][j] if lhs else Fraction(0)
                         right = rhs[i][j] if rhs else Fraction(0)
                         worst = max(worst, abs(left + right))
-                out.append((n, _GEN_NAMES[g], dp, worst))
-    return out
-
-
-def _verify_gluing_recursion(series: GluingTensorSeries) -> None:
-    for n, gen, dp, worst in gluing_recursion_residuals(series):
-        if worst:
-            raise InternalError(
-                f"gluing recursion fails at n={n}, gen={gen}, degree {dp}")
+                if worst:
+                    raise InternalError(
+                        f"gluing recursion fails at n={n}, gen={gen}, degree {dp}")
+                residuals.append((n, gen, dp, worst))
+    return GluingTensorSeries(level=level, mu=mu, degree_bound=d, quotient=quot,
+                              terms=terms, residuals=residuals)

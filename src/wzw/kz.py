@@ -111,7 +111,6 @@ class KZSystem:
     quotient_projection: Mat    # dim x prod(m_i + 1)
     truncated: bool
     base_point: tuple
-    truncation_invariant: bool | None = None
 
     def a(self, i: int, j: int) -> Mat:
         if i == j:
@@ -183,7 +182,6 @@ def kz_system(level: int, labels) -> KZSystem:
                         base_point=base_point)
 
     # level truncation: quotient further by the image of T^{l+1} at base_point
-    w_reps = []
     w_span = IntSpan()
     for b in range(D):
         w = ops.t_power({b: Fraction(1)}, base_point, level + 1)
@@ -191,7 +189,6 @@ def kz_system(level: int, labels) -> KZSystem:
             continue
         wq = to_quotient(w)
         if any(wq):
-            w_reps.append((w, wq))
             w_span.add_fraction_row({a: v for a, v in enumerate(wq) if v})
     if classical_dim - w_span.rank != block_rank:
         raise InternalError(f"truncation rank {w_span.rank} inconsistent with "
@@ -206,20 +203,11 @@ def kz_system(level: int, labels) -> KZSystem:
             out[kept_pos[c]] = v
         return out
 
-    invariant = True
-    for w, _ in w_reps:
-        for i, j in combinations(range(n), 2):
-            if any(to_block(ops.casimir_pair(w, i, j))):
-                invariant = False
-                break
-        if not invariant:
-            break
-
     return KZSystem(level=level, labels=labels, dim=block_rank,
                     classical_dim=classical_dim,
                     a_matrices=connection(to_block, [free[k] for k in kept]),
                     quotient_projection=projection(to_block), truncated=True,
-                    base_point=base_point, truncation_invariant=invariant)
+                    base_point=base_point)
 
 
 def flatness_check(system: KZSystem) -> bool:
@@ -277,7 +265,7 @@ class TransportResult:
         # steps do not resolve the path, not a broken invariant
         d = abs(_det(self.matrix))
         if self.matrix and d <= self.error_estimate:
-            raise InputError(f"transport matrix is numerically singular: "
+            raise InputError(f"transport matrix is not resolved by the steps: "
                              f"|det| = {d:.3e} <= error {self.error_estimate:.3e}; "
                              f"use more --steps or a path farther from the "
                              f"diagonals z_i = z_j")

@@ -40,16 +40,6 @@ def _validate_labels(level, labels):
             raise InputError(f"label {m} exceeds level {level}; not in the alphabet")
 
 
-def _e_string(m: int, j: int, p: int) -> int:
-    """Coefficient of v_{j-p} in E^p v_j for the m-irrep (0 if the string ends)."""
-    if p > j:
-        return 0
-    c = 1
-    for t in range(p):
-        c *= (j - t) * (m - j + t + 1)
-    return c
-
-
 def _diagonal_rows(labels):
     """Images of every basis vector under diagonal E, F, H as sparse rows."""
     dims = [m + 1 for m in labels]
@@ -87,16 +77,17 @@ def three_point_ranks(level: int, m1: int, m2: int, m3: int) -> tuple[int, int]:
         span.add(row)
     classical = total - span.rank
 
+    # E^p v_j is a nonzero multiple of v_{j-p} exactly when p <= j, so the
+    # rows E^p (x) E^q (x) E^r applied to the basis span the basis vectors
+    # they hit; each is added once
+    targets = set()
     for p, q, r in product(range(m1 + 1), range(m2 + 1), range(m3 + 1)):
         if p + q + r <= level:
             continue
-        for j1, j2, j3 in product(*(range(d) for d in dims)):
-            c = (_e_string(m1, j1, p) * _e_string(m2, j2, q)
-                 * _e_string(m3, j3, r))
-            if c:
-                tgt = ((j1 - p) * stride[0] + (j2 - q) * stride[1]
-                       + (j3 - r) * stride[2])
-                span.add({tgt: c})
+        for j1, j2, j3 in product(range(p, dims[0]), range(q, dims[1]), range(r, dims[2])):
+            targets.add((j1 - p) * stride[0] + (j2 - q) * stride[1] + (j3 - r) * stride[2])
+    for tgt in sorted(targets):
+        span.add({tgt: 1})
     return total - span.rank, classical
 
 

@@ -140,6 +140,7 @@ def test_kz_transport_under_resolved_path_is_an_input_error(tmp_path):
     assert out.returncode == 1
     assert out.stdout == ""
     assert "--steps" in out.stderr and "Traceback" not in out.stderr
+    assert "not resolved by the steps" in out.stderr and "singular" not in out.stderr
 
 
 def test_kz_truncation_must_be_flat(tmp_path):
@@ -157,7 +158,9 @@ def test_kz_truncation_must_be_flat(tmp_path):
         assert "truncation is not supported" in out.stderr
 
 
-# sha256 prefixes of stdout, recorded before fusion moved to index tables
+# sha256 prefixes of stdout, recorded before fusion moved to index tables (the
+# fusion and dim rows) and before the Fock space became the Heisenberg induced
+# module (the fock and kz rows)
 GOLDEN = [
     (("fusion-table", "--algebra", "A2", "--level", "2"), "c523d7a4f756d0c1"),
     (("fusion-table", "--algebra", "A1", "--level", "8", "--format", "tsv"),
@@ -168,6 +171,13 @@ GOLDEN = [
      "3a654582736dfcad"),
     (("verify", "fusion-axioms"), "b6d024083d7e6401"),
     (("verify", "block-dimensions"), "1b2e34b36e1e6a85"),
+    (("verify", "virasoro", "--kmax", "3", "--degree", "12", "--format", "tsv"),
+     "3b870068d4caf681"),
+    (("verify", "sugawara", "--level", "2", "--label", "1", "--degree", "4",
+      "--format", "tsv"), "a3d8688b3e7445d0"),
+    (("verify", "virasoro-bracket"), "b384d114a368c6ed"),
+    (("verify", "gluing-recursion", "--format", "tsv"), "b32cca326a28a396"),
+    (("kz", "matrices", "--level", "1", "--labels", "1,1,1,1"), "a7f1fef4dc08d475"),
 ]
 
 

@@ -1,14 +1,13 @@
-"""Fock-space Virasoro operators, induced modules, Sugawara action, gluing."""
+"""Induced modules of sl2 and of the Heisenberg algebra (the Fock space), Sugawara action, gluing."""
 
 from fractions import Fraction
 
 import pytest
 
 from wzw.errors import InputError
-from wzw.fock import (GramPairing, check_current_bracket, check_sugawara_bracket,
-                      check_virasoro_bracket, commutator, gluing_recursion_residuals,
-                      gluing_tensor, induced_module, integrable_quotient,
-                      oscillator_op, sugawara_op, virasoro_op)
+from wzw.fock import (HEISENBERG, GramPairing, check_current_bracket,
+                      check_sugawara_bracket, commutator, fock_space, gluing_tensor,
+                      induced_module, integrable_quotient, sugawara_op)
 
 # graded dimensions of the level-1 integrable quotients, frozen from the
 # Gram-radical computation and equal to the classical character coefficients
@@ -19,8 +18,13 @@ QUOTIENT_DIMS = {
 FULL_DIMS_MU1 = [2, 6, 18, 44, 102, 216, 442]
 
 
+def test_fock_space_dimensions_are_partition_numbers():
+    space = fock_space(8)
+    assert [space.dim(n) for n in range(9)] == [1, 1, 2, 3, 5, 7, 11, 15, 22]
+
+
 def test_oscillator_l0_is_minus_degree():
-    l0 = virasoro_op(0, 8)
+    l0 = sugawara_op(0, fock_space(8))
     for n in range(9):
         blk = l0.dense_block(n)
         for i in range(len(blk)):
@@ -31,13 +35,14 @@ def test_oscillator_l0_is_minus_degree():
 def test_oscillator_bracket():
     d = 10
     for k, l in [(1, -1), (2, -2), (0, 3), (-2, 1)]:
-        assert check_virasoro_bracket(k, l, d).is_zero()
+        assert check_sugawara_bracket(k, l, fock_space(d)).is_zero()
 
 
 def test_oscillator_commutator_raw():
     # [a_1, a_{-1}] = 1 on the oscillator space (before any Virasoro dressing)
     d = 6
-    res = commutator(oscillator_op(1, d), oscillator_op(-1, d))
+    space = fock_space(d)
+    res = commutator(space.action(1, 0), space.action(-1, 0))
     for n in range(res.window[0], res.window[1] + 1):
         blk = res.dense_block(n)
         for i in range(len(blk)):
@@ -47,7 +52,19 @@ def test_oscillator_commutator_raw():
 
 def test_virasoro_window_guard():
     with pytest.raises(InputError):
-        check_virasoro_bracket(3, 3, 4)
+        check_sugawara_bracket(3, 3, fock_space(4))
+
+
+def test_heisenberg_module_has_only_the_trivial_label():
+    with pytest.raises(InputError):
+        induced_module(1, 1, 4, HEISENBERG)
+
+
+def test_modules_of_different_algebras_differ():
+    sl2, fock = induced_module(1, 0, 5), fock_space(5)
+    assert sl2 != fock
+    assert hash(sl2) != hash(fock)
+    assert sugawara_op(0, sl2).space is sl2 and sugawara_op(0, fock).space is fock
 
 
 def test_induced_module_dimensions():
@@ -134,7 +151,9 @@ def test_gluing_tensor_shape_and_recursion():
     series = gluing_tensor(1, 1, 4)
     assert len(series.terms) == 5
     assert len(series.terms[0]) == 2  # eps_0 on V_mu, a 2x2 block
-    for n, gen, dp, worst in gluing_recursion_residuals(series):
+    # 3 generators x (5 degrees for n = 0, 4 for each n = +-1, 3 for each n = +-2)
+    assert len(series.residuals) == 57
+    for n, gen, dp, worst in series.residuals:
         assert worst == 0, (n, gen, dp)
 
 

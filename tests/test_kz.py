@@ -63,7 +63,6 @@ def test_four_point_level_one_truncated():
     assert system.dim == 1
     assert system.classical_dim == 2
     assert system.truncated
-    assert system.truncation_invariant is False
     assert system.a_matrices[(0, 1)] == [[F(-1, 6)]]
     assert system.a_matrices[(0, 2)] == [[F(-5, 6)]]
     assert system.a_matrices[(0, 3)] == [[F(3, 2)]]

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from wzw.errors import InputError
+from wzw.linalg import IntSpan
 from wzw.oracle import (CoinvariantProblem, npoint_block_rank, npoint_block_ranks,
                         propagation_check, three_point_rank, three_point_ranks)
 
@@ -21,6 +22,16 @@ def test_three_point_classical_rank():
     for l, m, n in itertools.product(range(4), repeat=3):
         _, classical = three_point_ranks(3, l, m, n)
         assert classical == classical_triple(l, m, n), (l, m, n)
+
+
+def test_three_point_inserts_each_truncation_target_once(monkeypatch):
+    # 354 diagonal rows, then at most one row per basis vector of the 125-dim
+    # V_4 (x) V_4 (x) V_4
+    calls = []
+    add = IntSpan.add
+    monkeypatch.setattr(IntSpan, "add", lambda self, row: calls.append(row) or add(self, row))
+    assert three_point_ranks(4, 4, 4, 4) == (0, 1)
+    assert len(calls) <= 354 + 125
 
 
 def test_three_point_level_truncation_bites():
