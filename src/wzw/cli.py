@@ -21,7 +21,7 @@ from . import checks
 from .errors import InputError, InternalError
 from .fusion import alphabet, fusion_table
 from .kz import flatness_check, kz_system, parallel_transport
-from .liealg import build_root_system, parse_algebra
+from .liealg import root_system
 from .oracle import (CoinvariantProblem, npoint_block_ranks,
                      propagation_check, three_point_ranks)
 from .surface import MarkedSurface, block_dimension, dehn_twist_eigenvalue
@@ -41,10 +41,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def _rs(name: str):
-    return build_root_system(*parse_algebra(name))
 
 
 def _parse_weight(text: str, rank: int) -> tuple:
@@ -96,7 +92,7 @@ def _emit(payload: dict, tsv_rows: list, fmt: str) -> None:
 # subcommand handlers: each returns (payload, tsv rows, exit code)
 
 def _cmd_fusion_table(args):
-    rs = _rs(args.algebra)
+    rs = root_system(args.algebra)
     alph = alphabet(rs, args.level)
     ring = fusion_table(alph)
     coeffs = [{"labels": list(triple), "n": n}
@@ -110,14 +106,14 @@ def _cmd_fusion_table(args):
 
 
 def _cmd_dim(args):
-    rs = _rs(args.algebra)
+    rs = root_system(args.algebra)
     bound = _parse_weights(args.labels, rs.rank)
     dim = block_dimension(MarkedSurface(rs, args.level, args.genus, bound))
     return {"dimension": dim}, [("dimension", dim)], 0
 
 
 def _cmd_dehn(args):
-    rs = _rs(args.algebra)
+    rs = root_system(args.algebra)
     mu = _parse_weight(args.label, rs.rank)
     tw = dehn_twist_eigenvalue(rs, args.level, mu)
     payload = {"exponent": str(tw.exponent), "eigenvalue": tw.eigenvalue_text()}
@@ -223,15 +219,30 @@ def _cmd_kz(args):
     return _cmd_kz_transport(args)
 
 
+# the flags each verify target reads, with their defaults; the named checks read none
+_VERIFY_FLAGS = {"virasoro": {"kmax": checks.VIRASORO_KMAX, "degree": checks.VIRASORO_DEGREE},
+                 "sugawara": {"algebra": "A1", "level": 1, "label": 1,
+                              "degree": checks.SUGAWARA_DEGREE}}
+
+
+def _verify_flags(args) -> dict:
+    """The target's flags with defaults filled in; a flag it does not read is an error."""
+    reads = _VERIFY_FLAGS.get(args.what, {})
+    for flag in ("kmax", "degree", "algebra", "level", "label"):
+        if getattr(args, flag) is not None and flag not in reads:
+            raise InputError(f"verify {args.what} does not read --{flag}")
+    return {flag: default if getattr(args, flag) is None else getattr(args, flag)
+            for flag, default in reads.items()}
+
+
 def _cmd_verify(args):
+    flags = _verify_flags(args)
     if args.what == "virasoro":
-        degree = 12 if args.degree is None else args.degree
-        rows = checks.virasoro_rows(args.kmax, degree)
+        rows = checks.virasoro_rows(flags["kmax"], flags["degree"])
     elif args.what == "sugawara":
-        if args.algebra != "A1":
-            raise InputError(f"verify sugawara supports A1 only, got {args.algebra!r}")
-        degree = 6 if args.degree is None else args.degree
-        rows = checks.sugawara_rows(args.level, args.label, degree)
+        if flags["algebra"] != "A1":
+            raise InputError(f"verify sugawara supports A1 only, got {flags['algebra']!r}")
+        rows = checks.sugawara_rows(flags["level"], flags["label"], flags["degree"])
     else:
         names = None if args.what == "all" else [args.what]
         results = checks.run_all(names)
@@ -302,12 +313,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="identity checks; 'all' runs the full suite")
     p.add_argument("what", choices=("all", "virasoro", "sugawara")
                    + tuple(name for name, _ in checks.ALL_CHECKS))
-    p.add_argument("--kmax", type=int, default=3)
-    p.add_argument("--degree", type=int, default=None,
+    p.add_argument("--kmax", type=int, help="virasoro only; default 3")
+    p.add_argument("--degree", type=int,
                    help="window bound; defaults to 12 for virasoro, 6 for sugawara")
-    p.add_argument("--algebra", default="A1")
-    p.add_argument("--level", type=int, default=1)
-    p.add_argument("--label", type=int, default=1)
+    p.add_argument("--algebra", help="sugawara only; A1, the default")
+    p.add_argument("--level", type=int, help="sugawara only; default 1")
+    p.add_argument("--label", type=int, help="sugawara only; default 1")
     add_format(p)
     p.set_defaults(handler=_cmd_verify)
 

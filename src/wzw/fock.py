@@ -412,17 +412,15 @@ def check_current_bracket(k: int, m: int, gen, module: InducedModule) -> GradedO
 # contravariant pairing, integrable quotient, gluing tensor
 
 class GramPairing:
-    """The pairing b between a highest-weight module and its dual-side twin.
+    """The pairing b of an sl2 induced module with itself (sl2 labels are self-dual).
 
-    Degree 0 pairs the weight bases by b(v_i, v'_j) = (-1)^i delta_{i+j, mu};
+    Degree 0 pairs the weight bases by b(v_i, v_j) = (-1)^i delta_{i+j, mu};
     deeper degrees follow from the adjunction b(X t^{-k} w, u') =
     -b(w, X t^{k} u'), peeling the leading creation factor.
     """
 
-    def __init__(self, plus: InducedModule, minus: InducedModule):
-        if plus.level != minus.level:
-            raise InternalError("pairing requires equal levels")
-        self.plus, self.minus = plus, minus
+    def __init__(self, module: InducedModule):
+        self.module = module
         self._memo: dict = {}
 
     def value(self, u, uprime):
@@ -431,26 +429,26 @@ class GramPairing:
         if cached is not None:
             return cached
         mono, vi = u
-        if self.plus.weight(u) + self.minus.weight(uprime) != 0:
+        if self.module.weight(u) + self.module.weight(uprime) != 0:
             val = 0
         elif not mono:
             mono2, vj = uprime
             if mono2:
                 val = 0  # graded pairing: degrees must match
             else:
-                val = (-1) ** vi if vi + vj == self.plus.mu else 0
+                val = (-1) ** vi if vi + vj == self.module.mu else 0
         else:
             (k, g), rest = mono[0], mono[1:]
             val = 0
-            for melt, c in self.minus.apply_gen(k, g, uprime).items():
+            for melt, c in self.module.apply_gen(k, g, uprime).items():
                 val -= c * self.value((rest, vi), melt)
         self._memo[key] = val
         return val
 
     def gram(self, n: int) -> list:
-        """Integer Gram matrix between the degree-n pieces."""
-        pb, mb = self.plus.basis(n), self.minus.basis(n)
-        return [[self.value(u, up) for up in mb] for u in pb]
+        """Integer Gram matrix of the degree-n piece."""
+        basis = self.module.basis(n)
+        return [[self.value(u, up) for up in basis] for u in basis]
 
 
 def _pivot_columns(rows) -> list[int]:
@@ -465,14 +463,14 @@ class IntegrableQuotient:
     """Degreewise quotient of an induced module by the radical of b.
 
     `kept` / `kept_minus` hold the indices of the basis elements representing
-    the quotient on each side; `proj_plus[n]` (resp. `proj_minus[n]`) is the
-    rational (q x dim) matrix sending a degree-n coordinate vector to its
-    quotient coordinates over the kept basis.  `gram_inverse[n]` is the
-    inverse of the degree-n Gram block between the kept bases.
+    the quotient in the first and second slot of b; `proj_plus[n]` (resp.
+    `proj_minus[n]`) is the rational (q x dim) matrix sending a degree-n
+    coordinate vector to its quotient coordinates over the kept basis.
+    `gram_inverse[n]` is the inverse of the degree-n Gram block between the
+    kept bases.
     """
 
     module: InducedModule
-    minus: InducedModule
     pairing: "GramPairing"
     degree_bound: int
     kept: dict
@@ -503,19 +501,18 @@ class IntegrableQuotient:
         return out
 
     def descend(self, op: GradedOperator, n: int) -> list:
-        """Quotient matrix of a plus-module operator, input degree n."""
+        """Quotient matrix of an operator in the first slot, input degree n."""
         return self._descend(op, n, self.kept, self.proj_plus)
 
     def descend_minus(self, op: GradedOperator, n: int) -> list:
-        """Quotient matrix of a minus-module operator, input degree n."""
+        """Quotient matrix of an operator in the second slot, input degree n."""
         return self._descend(op, n, self.kept_minus, self.proj_minus)
 
 
 def integrable_quotient(module: InducedModule) -> IntegrableQuotient:
     """Quotient by the radical of b, computed degree by degree."""
     d = module.degree_bound
-    minus = induced_module(module.level, module.mu, d, module.algebra)
-    pairing = GramPairing(module, minus)
+    pairing = GramPairing(module)
     if len(_pivot_columns(pairing.gram(0))) != module.mu + 1:
         raise InternalError("degree-0 pairing is singular; b_mu must be perfect")
     kept, kept_minus, proj_plus, proj_minus, gram_inverse = {}, {}, {}, {}, {}
@@ -536,7 +533,7 @@ def integrable_quotient(module: InducedModule) -> IntegrableQuotient:
             raise InternalError(f"degree-{n} quotient pairing is not perfect") from None
         proj_plus[n] = transpose(mat_mul(g_km, inv))
         proj_minus[n] = mat_mul(inv, [g[i] for i in kp])
-    return IntegrableQuotient(module=module, minus=minus, pairing=pairing,
+    return IntegrableQuotient(module=module, pairing=pairing,
                               degree_bound=d, kept=kept, kept_minus=kept_minus,
                               proj_plus=proj_plus, proj_minus=proj_minus,
                               gram_inverse=gram_inverse)
@@ -567,13 +564,13 @@ def gluing_tensor(level: int, mu: int, d: int) -> GluingTensorSeries:
     bound, the n = 0 case being plain g-invariance.
     """
     quot = integrable_quotient(induced_module(level, mu, d))
-    module, minus = quot.module, quot.minus
+    module = quot.module
     terms = [transpose(quot.gram_inverse[n]) for n in range(d + 1)]
     residuals = []
     for n in range(-min(2, d), min(2, d) + 1):
         for g, gen in enumerate(module.algebra.gen_names):
             plus_op = module.action(n, g)
-            minus_op = minus.action(-n, g)
+            minus_op = module.action(-n, g)
             for dp in range(max(0, -n), min(d, d - n) + 1):
                 # (X t+^n (x) 1) eps_{dp+n} = A . M_{dp+n};
                 # (1 (x) X t-^{-n}) eps_dp = M_dp . B^T

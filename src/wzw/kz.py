@@ -4,7 +4,7 @@ The connection form is -1/(l+2) sum_{i<j} c^(ij) dlog(z_i - z_j) with c^(ij)
 the Casimir acting in tensor slots i and j.  The matrices are computed exactly
 on the classical coinvariant quotient (V_1 (x) ... (x) V_n)_g; when the level
 cuts the block down further (detected against the coinvariant oracle at a
-fixed base point), the system carries the truncated quotient as well.
+fixed base point), they are computed on the truncated quotient instead.
 Parallel transport is the single floating-point boundary of the package.
 """
 
@@ -85,20 +85,6 @@ def _validate_labels(labels) -> tuple:
     return labels
 
 
-def casimir_pair_matrix(labels, i: int, j: int) -> Mat:
-    """Dense matrix of c^(ij) on the full tensor product; i, j are 1-based."""
-    labels = _validate_labels(labels)
-    n = len(labels)
-    if not 1 <= i < j <= n:
-        raise InputError(f"need 1 <= i < j <= {n}, got ({i},{j})")
-    ops = _TensorOps(labels)
-    mat = [[Fraction(0)] * ops.D for _ in range(ops.D)]
-    for b in range(ops.D):
-        for r, v in ops.casimir_pair({b: Fraction(1)}, i - 1, j - 1).items():
-            mat[r][b] = v
-    return mat
-
-
 @dataclass(eq=False)
 class KZSystem:
     """Exact KZ data on the block quotient of a labeled configuration."""
@@ -108,14 +94,8 @@ class KZSystem:
     dim: int
     classical_dim: int
     a_matrices: dict            # (i, j) with i < j, 0-based -> dim x dim matrix
-    quotient_projection: Mat    # dim x prod(m_i + 1)
     truncated: bool
     base_point: tuple
-
-    def a(self, i: int, j: int) -> Mat:
-        if i == j:
-            raise InputError("A_ii is not defined")
-        return self.a_matrices[(i, j) if i < j else (j, i)]
 
     @property
     def n(self) -> int:
@@ -171,14 +151,10 @@ def kz_system(level: int, labels) -> KZSystem:
                                    for b in basis])
                 for i, j in combinations(range(n), 2)}
 
-    def projection(to_space) -> Mat:
-        return transpose([to_space({b: Fraction(1)}) for b in range(D)])
-
     if block_rank == classical_dim:
         return KZSystem(level=level, labels=labels, dim=classical_dim,
                         classical_dim=classical_dim,
-                        a_matrices=connection(to_quotient, free),
-                        quotient_projection=projection(to_quotient), truncated=False,
+                        a_matrices=connection(to_quotient, free), truncated=False,
                         base_point=base_point)
 
     # level truncation: quotient further by the image of T^{l+1} at base_point
@@ -205,8 +181,7 @@ def kz_system(level: int, labels) -> KZSystem:
 
     return KZSystem(level=level, labels=labels, dim=block_rank,
                     classical_dim=classical_dim,
-                    a_matrices=connection(to_block, [free[k] for k in kept]),
-                    quotient_projection=projection(to_block), truncated=True,
+                    a_matrices=connection(to_block, [free[k] for k in kept]), truncated=True,
                     base_point=base_point)
 
 
@@ -228,23 +203,20 @@ def flatness_check(system: KZSystem) -> bool:
     return True
 
 
-def translation_contraction(system: KZSystem, z, direction=None) -> Mat:
-    """The form contracted with a tangent vector; zero for translations."""
+def translation_contraction(system: KZSystem, z) -> Mat:
+    """The form at z contracted with the translation (1, ..., 1).
+
+    d(z_i - z_j) vanishes on a translation, so every term is zero whatever
+    A_ij is; only colliding coordinates are rejected.
+    """
     n = system.n
     z = tuple(z)
     if len(z) != n:
         raise InputError(f"expected {n} coordinates, got {len(z)}")
-    xi = tuple(direction) if direction is not None else (1,) * n
-    out = [[Fraction(0)] * system.dim for _ in range(system.dim)]
-    for (i, j), mat in system.a_matrices.items():
+    for i, j in system.a_matrices:
         if z[i] == z[j]:
             raise InputError(f"coordinates {i} and {j} collide")
-        c = Fraction(xi[i] - xi[j], 1) / (z[i] - z[j])
-        if c:
-            for a in range(system.dim):
-                for b in range(system.dim):
-                    out[a][b] += c * mat[a][b]
-    return out
+    return [[Fraction(0)] * system.dim for _ in range(system.dim)]
 
 
 # ---------------------------------------------------------------------------

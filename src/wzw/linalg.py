@@ -6,7 +6,7 @@ package goes through here.  Two layers:
 * dense ``Fraction`` matrices (lists of lists): products, commutators,
   transposes, inverse and determinant for the Cartan data and the sl2 irreps
   (liealg), the KZ connection (kz) and the Shapovalov projections and gluing
-  tensor (fock), plus reduced row echelon form and rank as a dense reference;
+  tensor (fock);
 * ``IntSpan``, an incremental fraction-free row-space accumulator over the
   integers, used for the large sparse rank computations in the oracle, kz and
   fock.  Rows are combined by integer cross-multiplication and renormalized
@@ -68,37 +68,6 @@ def commutator(a: Mat, b: Mat) -> Mat:
 
 def is_zero(a: Mat) -> bool:
     return all(not x for row in a for x in row)
-
-
-def rref(a: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form; returns (R, pivot column indices)."""
-    m = [[Fraction(x) for x in row] for row in a]
-    if not m:
-        return [], []
-    nrows, ncols = len(m), len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        # partial pivot: any nonzero entry works exactly
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
-
-
-def rank(a: Mat) -> int:
-    return len(rref(a)[1])
 
 
 def invert(a: Mat) -> Mat:

@@ -147,10 +147,6 @@ def four_point_graph(channel: str) -> TrivalentGraph:
     raise InputError(f"unknown channel {channel!r}")
 
 
-def _zero(rs: RootSystem) -> Weight:
-    return (0,) * rs.rank
-
-
 def _state_sum(surface: MarkedSurface, graph: TrivalentGraph) -> int:
     alph = surface.alphabet
     dual = alph.dual
@@ -188,29 +184,12 @@ def block_dimension(surface: MarkedSurface, graph: TrivalentGraph | None = None)
     if g == 0 and n == 0:
         return 1
     if g == 0 and n == 1:
-        return 1 if labels[0] == _zero(surface.rs) else 0
+        return 1 if labels[0] == (0,) * surface.rs.rank else 0
     if g == 0 and n == 2:
         return 1 if labels[1] == dual_weight(surface.rs, labels[0]) else 0
     if g == 1 and n == 0:
         return len(surface.alphabet.labels)
     return _state_sum(surface, canonical_graph(g, n))
-
-
-def decomposition_independence(surface: MarkedSurface,
-                               graph1: TrivalentGraph,
-                               graph2: TrivalentGraph) -> bool:
-    """True iff both decompositions yield the same dimension (they must)."""
-    for gr in (graph1, graph2):
-        if not gr.compatible_with(surface):
-            raise InputError("graph incompatible with surface")
-    return block_dimension(surface, graph1) == block_dimension(surface, graph2)
-
-
-def remove_trivial_labels(surface: MarkedSurface) -> MarkedSurface:
-    """Drop boundary circles labeled 0; block_dimension is unchanged."""
-    zero = _zero(surface.rs)
-    kept = tuple(lam for lam in surface.boundary_labels if lam != zero)
-    return MarkedSurface(surface.rs, surface.level, surface.genus, kept)
 
 
 @dataclass(frozen=True)
@@ -244,9 +223,3 @@ def dehn_twist_eigenvalue(rs: RootSystem, level: int, mu: Weight) -> TwistEigenv
     r = Fraction(casimir_eigenvalue(rs, mu), level + rs.dual_coxeter) % 2
     return TwistEigenvalue(r)
 
-
-def connection_weight(rs: RootSystem, level: int) -> Fraction:
-    """Weight l*dim(g)/(2(l+h)) of the projectively flat connection."""
-    if level < 0:
-        raise InputError(f"level {level} is negative")
-    return Fraction(level * rs.dim_g, 2 * (level + rs.dual_coxeter))

@@ -159,8 +159,9 @@ def test_kz_truncation_must_be_flat(tmp_path):
 
 
 # sha256 prefixes of stdout, recorded before fusion moved to index tables (the
-# fusion and dim rows) and before the Fock space became the Heisenberg induced
-# module (the fock and kz rows)
+# fusion and dim rows), before the Fock space became the Heisenberg induced
+# module (the fock and kz rows) and before the algebras were tabulated and the
+# KZ system lost its projection pass (the last five rows)
 GOLDEN = [
     (("fusion-table", "--algebra", "A2", "--level", "2"), "c523d7a4f756d0c1"),
     (("fusion-table", "--algebra", "A1", "--level", "8", "--format", "tsv"),
@@ -178,6 +179,11 @@ GOLDEN = [
     (("verify", "virasoro-bracket"), "b384d114a368c6ed"),
     (("verify", "gluing-recursion", "--format", "tsv"), "b32cca326a28a396"),
     (("kz", "matrices", "--level", "1", "--labels", "1,1,1,1"), "a7f1fef4dc08d475"),
+    (("fusion-table", "--algebra", "B2", "--level", "2"), "f2c3da261882b80d"),
+    (("fusion-table", "--algebra", "D4", "--level", "1"), "2f6b1db98144b6f6"),
+    (("dehn", "--algebra", "G2", "--level", "2", "--label", "0:1"), "6599d58c1ab5ec1b"),
+    (("kz", "matrices", "--level", "5", "--labels", "3,3,3,3"), "a78d41bdc72902f3"),
+    (("kz", "matrices", "--level", "5", "--labels", "2,2,2,2,2"), "ddd49dd6ce933b16"),
 ]
 
 
@@ -207,6 +213,28 @@ def test_verify_sugawara_report():
     assert any(n.startswith("current") for n in names)
     assert any(n.startswith("L0-spectrum") for n in names)
     assert all(row["residual_norm"] == "0" for row in data["checks"])
+
+
+def test_verify_virasoro_rejects_negative_kmax():
+    # kmax < 0 used to print no rows and exit 0 after checking nothing
+    out = run_cli("verify", "virasoro", "--kmax", "-1")
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert "kmax" in out.stderr
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("sugawara", "--kmax", "5"), "--kmax"),
+    (("virasoro", "--level", "2"), "--level"),
+    (("fusion-axioms", "--algebra", "A2", "--level", "7"), "--algebra"),
+    (("block-dimensions", "--label", "1"), "--label"),
+    (("all", "--degree", "4"), "--degree"),
+])
+def test_verify_rejects_a_flag_the_target_does_not_read(argv, flag):
+    out = run_cli("verify", *argv)
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr == f"error: verify {argv[0]} does not read {flag}\n"
 
 
 def test_verify_single_check_by_name():

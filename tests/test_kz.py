@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from wzw.errors import InputError
-from wzw.kz import (casimir_pair_matrix, flatness_check, kz_system,
-                    parallel_transport, translation_contraction)
+from wzw.kz import flatness_check, kz_system, parallel_transport, translation_contraction
+from wzw.liealg import sl2_irrep_matrices
 
 F = Fraction
 
@@ -22,13 +22,21 @@ def test_two_point_example():
 
 
 def test_casimir_pair_matrix_minimal_polynomial():
-    # on V_1 (x) V_1 the pair Casimir has eigenvalues 1/2 (triplet), -3/2 (singlet)
-    c = casimir_pair_matrix((1, 1), 1, 2)
+    # on V_1 (x) V_1 the pair Casimir E(x)F + F(x)E + H(x)H/2 has eigenvalues
+    # 1/2 (triplet) and -3/2 (singlet)
+    rep = sl2_irrep_matrices(1)
+
+    def kron(a, b):
+        return [[a[i // 2][j // 2] * b[i % 2][j % 2] for j in range(4)] for i in range(4)]
+
+    e_f, f_e, h_h = kron(rep.E, rep.F), kron(rep.F, rep.E), kron(rep.H, rep.H)
+    c = [[e_f[i][j] + f_e[i][j] + F(h_h[i][j], 2) for j in range(4)] for i in range(4)]
     d = 4
     prod = [[sum((c[i][k] + (F(3, 2) if i == k else 0))
                  * (c[k][j] - (F(1, 2) if k == j else 0)) for k in range(d))
              for j in range(d)] for i in range(d)]
     assert all(v == 0 for row in prod for v in row)
+    assert sum(c[i][i] for i in range(d)) == 3 * F(1, 2) - F(3, 2)  # one singlet
 
 
 FOUR_POINT_L2 = {

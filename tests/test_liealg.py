@@ -6,19 +6,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wzw import cli
 from wzw.errors import InputError
-from wzw.liealg import (build_root_system, casimir_eigenvalue, dominant_with_sign,
-                        dual_weight, level_of, parse_algebra, sl2_irrep_matrices,
-                        tensor_decompose, weight_multiplicities, weyl_dim)
+from wzw.liealg import (_root_system, build_root_system, casimir_eigenvalue,
+                        dominant_with_sign, dual_weight, level_of, parse_algebra,
+                        sl2_irrep_matrices, tensor_decompose, weight_multiplicities,
+                        weyl_dim)
 
 ALL_SMALL = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3),
              ("D", 4), ("G", 2), ("F", 4), ("E", 6)]
+
+# Cartan matrices of types the package rejects: the generic root-data
+# construction behind the five supported algebras is checked on them too
+UNSUPPORTED_CARTAN = {
+    ("A", 3): ((2, -1, 0), (-1, 2, -1), (0, -1, 2)),
+    ("A", 4): ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2)),
+    ("B", 3): ((2, -1, 0), (-1, 2, -1), (0, -2, 2)),
+    ("C", 3): ((2, -1, 0), (-1, 2, -2), (0, -1, 2)),
+    ("F", 4): ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -2, 2, -1), (0, 0, -1, 2)),
+    ("E", 6): ((2, 0, -1, 0, 0, 0), (0, 2, 0, -1, 0, 0), (-1, 0, 2, -1, 0, 0),
+               (0, -1, -1, 2, -1, 0), (0, 0, 0, -1, 2, -1), (0, 0, 0, 0, -1, 2)),
+}
+
+
+def root_data(series, rank):
+    cartan = UNSUPPORTED_CARTAN.get((series, rank))
+    if cartan is None:
+        return build_root_system(series, rank)
+    return _root_system(series, rank, cartan)
 
 
 def test_parse_algebra():
     assert parse_algebra("A1") == ("A", 1)
     assert parse_algebra(" G2 ") == ("G", 2)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="A1, A2, B2, G2, D4"):
         parse_algebra("H3")
     with pytest.raises(InputError):
         parse_algebra("A")
@@ -31,26 +52,36 @@ def test_invalid_ranks_rejected():
             build_root_system(series, rank)
 
 
+@pytest.mark.parametrize("name", ["A3", "A4", "B3", "C2", "C3", "D5", "E6", "E8", "F4"])
+def test_unchecked_algebras_rejected(name, capsys):
+    with pytest.raises(InputError, match="A1, A2, B2, G2, D4"):
+        build_root_system(*parse_algebra(name))
+    assert cli.main(["fusion-table", "--algebra", name, "--level", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: algebra ")
+
+
 def test_cartan_matrices():
     assert build_root_system("A", 2).cartan_matrix == ((2, -1), (-1, 2))
-    # G2: the short root is alpha_2 in this numbering
+    # G2 and B2: the short root is alpha_2 in this numbering
     g2 = build_root_system("G", 2).cartan_matrix
     assert sorted((g2[0][1], g2[1][0])) == [-3, -1]
-    b2 = build_root_system("B", 2).cartan_matrix
-    c2 = build_root_system("C", 2).cartan_matrix
-    assert b2 == tuple(zip(*c2))
+    assert build_root_system("B", 2).cartan_matrix == ((2, -1), (-2, 2))
+    d4 = build_root_system("D", 4).cartan_matrix
+    assert [sum(1 for x in row if x == -1) for row in d4] == [1, 3, 1, 1]
 
 
 @pytest.mark.parametrize("series,rank", ALL_SMALL)
 def test_highest_root_has_length_two(series, rank):
-    rs = build_root_system(series, rank)
+    rs = root_data(series, rank)
     theta = rs.highest_root
     assert rs.form(theta, theta) == 2
 
 
 @pytest.mark.parametrize("series,rank", ALL_SMALL)
 def test_adjoint_casimir_is_twice_dual_coxeter(series, rank):
-    rs = build_root_system(series, rank)
+    rs = root_data(series, rank)
     assert casimir_eigenvalue(rs, rs.highest_root) == 2 * rs.dual_coxeter
 
 
@@ -58,12 +89,12 @@ def test_adjoint_casimir_is_twice_dual_coxeter(series, rank):
                                            ("B", 3, 5), ("C", 3, 4), ("D", 4, 6),
                                            ("G", 2, 4), ("F", 4, 9), ("E", 6, 12)])
 def test_dual_coxeter_numbers(series, rank, h):
-    assert build_root_system(series, rank).dual_coxeter == h
+    assert root_data(series, rank).dual_coxeter == h
 
 
 @pytest.mark.parametrize("series,rank", ALL_SMALL)
 def test_rho_and_adjoint_dimension(series, rank):
-    rs = build_root_system(series, rank)
+    rs = root_data(series, rank)
     assert rs.rho == (1,) * rank
     assert weyl_dim(rs, rs.highest_root) == rs.dim_g
     assert rs.dim_g == rank + 2 * len(rs.pos_roots)
