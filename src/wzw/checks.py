@@ -21,7 +21,7 @@ from .errors import InputError
 from .fock import (SL2, check_current_bracket, check_sugawara_bracket, fock_space,
                    gluing_tensor, induced_module, sugawara_op)
 from .fusion import alphabet, fusion_coeff, fusion_table
-from .kz import flatness_check, kz_system, parallel_transport, translation_contraction
+from .kz import flatness_check, kz_system, parallel_transport, residue_check
 from .liealg import casimir_eigenvalue, dual_weight, root_system
 from .linalg import mat_mul, transpose
 from .oracle import (CoinvariantProblem, npoint_block_rank, propagation_check,
@@ -46,7 +46,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-    elapsed: float
+    elapsed: float = 0.0  # set by run_all
 
     def to_report(self) -> dict:
         # deliberately no timing: report bytes must not vary between runs
@@ -77,13 +77,12 @@ def virasoro_rows(kmax: int, degree: int) -> list[dict]:
 
 def virasoro_bracket() -> CheckResult:
     """[L_k, L_l] = (l-k)L_{k+l} + central term, exactly, on the Fock window."""
-    t0 = time.perf_counter()
     rows = virasoro_rows(VIRASORO_KMAX, VIRASORO_DEGREE)
     bad = [r for r in rows if r["residual_norm"] != "0"]
     detail = (f"{len(rows)} bracket pairs, |k|,|l| <= {VIRASORO_KMAX}, degree bound "
               f"{VIRASORO_DEGREE}, all residuals 0" if not bad else
               f"{len(bad)}/{len(rows)} nonzero residuals, first {bad[0]['name']}")
-    return CheckResult("virasoro-bracket", not bad, detail, time.perf_counter() - t0)
+    return CheckResult("virasoro-bracket", not bad, detail)
 
 
 def sugawara_rows(level: int, mu: int, degree: int) -> list[dict]:
@@ -120,7 +119,6 @@ def sugawara_rows(level: int, mu: int, degree: int) -> list[dict]:
 
 def sugawara_identities() -> CheckResult:
     """Current brackets and the L0 spectrum for A1, levels 1 and 2, all labels."""
-    t0 = time.perf_counter()
     rows = []
     for level in (1, 2):
         for mu in range(level + 1):
@@ -132,12 +130,11 @@ def sugawara_identities() -> CheckResult:
     detail = (f"{len(rows)} identities (brackets, currents, L0 spectra) at "
               f"degree bound {SUGAWARA_DEGREE}, all residuals 0" if not bad else
               f"{len(bad)}/{len(rows)} nonzero residuals, first {bad[0]['name']}")
-    return CheckResult("sugawara-identities", not bad, detail, time.perf_counter() - t0)
+    return CheckResult("sugawara-identities", not bad, detail)
 
 
 def oracle_equivalence() -> CheckResult:
     """fusion_coeff agrees with the coinvariant three-point rank, all A1 triples."""
-    t0 = time.perf_counter()
     rs = root_system("A1")
     rows, bad = [], []
     for level in range(ORACLE_LEVEL_MAX + 1):
@@ -152,7 +149,7 @@ def oracle_equivalence() -> CheckResult:
     detail = (f"{len(rows)} triples across levels 0..{ORACLE_LEVEL_MAX}, "
               f"fusion coefficient == block rank everywhere" if not bad else
               f"{len(bad)}/{len(rows)} disagreements, first {bad[0]['name']}")
-    return CheckResult("oracle-equivalence", not bad, detail, time.perf_counter() - t0)
+    return CheckResult("oracle-equivalence", not bad, detail)
 
 
 def fusion_axioms() -> CheckResult:
@@ -162,7 +159,6 @@ def fusion_axioms() -> CheckResult:
     violation; a ring of L labels counts L^2 unit and duality, L^3 symmetry
     and L^4 associativity instances.
     """
-    t0 = time.perf_counter()
     cases = [("A1", level) for level in range(5)] + [("A2", level) for level in range(3)]
     rows = []
     for name, level in cases:
@@ -173,13 +169,11 @@ def fusion_axioms() -> CheckResult:
                      "status": "pass"})
     total = sum(r["cases"] for r in rows)
     return CheckResult("fusion-axioms", True,
-                       f"{total} axiom instances over {len(cases)} rings, all pass",
-                       time.perf_counter() - t0)
+                       f"{total} axiom instances over {len(cases)} rings, all pass")
 
 
 def block_dimensions() -> CheckResult:
     """Torus counts, graph independence, channel agreement, factorization."""
-    t0 = time.perf_counter()
     rs = root_system("A1")
     rows, bad = [], []
 
@@ -211,12 +205,11 @@ def block_dimensions() -> CheckResult:
             record(f"factorization,l={level},g={genus}", whole, parts)
     detail = (f"{len(rows)} dimension identities, all agree" if not bad else
               f"{len(bad)}/{len(rows)} mismatches, first {bad[0]['name']}")
-    return CheckResult("block-dimensions", not bad, detail, time.perf_counter() - t0)
+    return CheckResult("block-dimensions", not bad, detail)
 
 
 def propagation() -> CheckResult:
     """Appending a trivial label changes neither surface dims nor block ranks."""
-    t0 = time.perf_counter()
     rs = root_system("A1")
     rows, bad = [], []
     for level in range(4):
@@ -245,13 +238,12 @@ def propagation() -> CheckResult:
     detail = (f"{len(rows)} propagation instances, dimension and rank preserved"
               if not bad else
               f"{len(bad)}/{len(rows)} violations, first {bad[0]['name']}")
-    return CheckResult("propagation", not bad, detail, time.perf_counter() - t0)
+    return CheckResult("propagation", not bad, detail)
 
 
 def dehn_twists() -> CheckResult:
     """Twist exponents, text forms, the -i special value, and the stated
     integrality of 3(l+h)r, which fails for A1 at odd labels."""
-    t0 = time.perf_counter()
     cases = [("A1", level) for level in range(1, 5)] + [("A2", level) for level in (1, 2)]
     rows, bad = [], []
     for name, level in cases:
@@ -281,29 +273,27 @@ def dehn_twists() -> CheckResult:
               if not bad else
               f"{len(bad)}/{len(rows)} failures, first {bad[0]['name']}: "
               f"{bad[0]['status']} ({bad[0].get('integrality', '')})")
-    return CheckResult("dehn-twists", not bad, detail, time.perf_counter() - t0)
+    return CheckResult("dehn-twists", not bad, detail)
 
 
 def kz_flatness() -> CheckResult:
-    """Kohno relations and translation contraction for every A1 system in range."""
-    t0 = time.perf_counter()
+    """Kohno relations and residue sums for every A1 system in range."""
     rows, bad = [], []
     for level in range(KZ_LEVEL_MAX + 1):
         for n in range(2, KZ_NMAX + 1):
             for marks in itertools.product(range(level + 1), repeat=n):
                 system = kz_system(level, marks)
                 flat = flatness_check(system)
-                contraction = translation_contraction(system, system.base_point)
-                zero = all(v == 0 for row in contraction for v in row)
+                residues = residue_check(system)
                 rows.append({"name": f"l={level},labels={marks}",
                              "dim": system.dim,
-                             "flat": flat, "translation_zero": zero})
-                if not (flat and zero):
+                             "flat": flat, "residue_sums": residues})
+                if not (flat and residues):
                     bad.append(rows[-1])
-    detail = (f"{len(rows)} systems, Kohno relations and translation "
-              f"contraction exact" if not bad else
+    detail = (f"{len(rows)} systems, Kohno relations and residue sums exact"
+              if not bad else
               f"{len(bad)}/{len(rows)} failures, first {bad[0]['name']}")
-    return CheckResult("kz-flatness", not bad, detail, time.perf_counter() - t0)
+    return CheckResult("kz-flatness", not bad, detail)
 
 
 def _identity_deviation(matrix):
@@ -320,7 +310,6 @@ def _max_diff(a, b) -> float:
 def kz_transport() -> CheckResult:
     """Holonomy of the numeric KZ transport: identity on contractible loops,
     homotopy invariance, and fourth-order step convergence."""
-    t0 = time.perf_counter()
     system = kz_system(2, (1, 1, 2))
     rows, bad = [], []
 
@@ -364,7 +353,7 @@ def kz_transport() -> CheckResult:
     detail = (f"loop deviation {dev:.3e}, homotopy gap {diff:.3e}, "
               f"order {min(orders):.2f}" if not bad else
               f"failed: {bad[0]['name']} ({bad[0]})")
-    return CheckResult("kz-transport", not bad, detail, time.perf_counter() - t0)
+    return CheckResult("kz-transport", not bad, detail)
 
 
 def gluing_recursion() -> CheckResult:
@@ -373,7 +362,6 @@ def gluing_recursion() -> CheckResult:
     gluing_tensor has verified every recursion residual; the rows with
     dp <= dmax are reported from series.residuals.
     """
-    t0 = time.perf_counter()
     rows, bad = [], []
     for mu in (0, 1):
         series = gluing_tensor(1, mu, GLUING_DEGREE)
@@ -387,12 +375,11 @@ def gluing_recursion() -> CheckResult:
     detail = (f"{len(rows)} recursion and pairing identities, all residuals 0"
               if not bad else
               f"{len(bad)}/{len(rows)} nonzero, first {bad[0]['name']}")
-    return CheckResult("gluing-recursion", not bad, detail, time.perf_counter() - t0)
+    return CheckResult("gluing-recursion", not bad, detail)
 
 
 def rank_z_independence() -> CheckResult:
     """Block rank is the same for every choice of distinct marked points."""
-    t0 = time.perf_counter()
     rng = random.Random(POINT_SEED)
     rows, bad = [], []
     for level in range(3):
@@ -409,7 +396,7 @@ def rank_z_independence() -> CheckResult:
     detail = (f"{len(rows)} cases x 3 configurations, ranks independent of z"
               if not bad else
               f"{len(bad)}/{len(rows)} cases vary, first {bad[0]['name']}")
-    return CheckResult("rank-z-independence", not bad, detail, time.perf_counter() - t0)
+    return CheckResult("rank-z-independence", not bad, detail)
 
 
 ALL_CHECKS = (
@@ -436,5 +423,8 @@ def run_all(names=None) -> list[CheckResult]:
         if name not in table:
             raise InputError(f"unknown check {name!r}; choose from "
                              + ", ".join(table))
-        results.append(table[name]())
+        t0 = time.perf_counter()
+        result = table[name]()
+        result.elapsed = time.perf_counter() - t0
+        results.append(result)
     return results

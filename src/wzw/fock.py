@@ -1,9 +1,10 @@
 """Truncated graded induced modules of current algebras, with exact window tracking.
 
 Every operator here is a GradedOperator: a band of exact matrices between
-graded pieces together with the degree window on which the truncation agrees
-with the true operator.  Compositions and sums intersect windows, so identity
-checks on a window are honest statements about the untruncated algebra.
+graded pieces together with the degree window [0, hi] on which the truncation
+agrees with the true operator (degrees below 0 are empty).  Compositions and
+sums take the smaller top edge, so identity checks on a window are honest
+statements about the untruncated algebra.
 
 One construction serves every current algebra g with an invariant form: the
 module induced from a g-irrep at level l, and the Sugawara operators on it.
@@ -38,8 +39,6 @@ from typing import Callable
 from .errors import InputError, InternalError
 from .liealg import sl2_irrep_matrices
 from .linalg import IntSpan, invert, mat_mul, transpose
-
-_NEG = -(10 ** 9)  # conceptual lower window edge; degrees below 0 are empty
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +199,8 @@ class InducedModule:
         self._memo[key] = out
         return out
 
-    def action(self, m: int, gen) -> "GradedOperator":
-        """X t^m as a GradedOperator (shift m) on the truncation."""
-        g = gen if isinstance(gen, int) else self.algebra.gen_names.index(gen)
+    def action(self, m: int, g: int) -> "GradedOperator":
+        """X_g t^m as a GradedOperator (shift m) on the truncation."""
         d = self.degree_bound
         hi = min(d, d + m)
         if hi < 0:
@@ -214,7 +212,7 @@ class InducedModule:
                 for melt, c in self.apply_gen(m, g, elt).items():
                     blk[self.index(n - m, melt), col] = c
             blocks[n] = blk
-        return GradedOperator(space=self, shift=m, lo=_NEG, hi=hi, blocks=blocks)
+        return GradedOperator(space=self, shift=m, hi=hi, blocks=blocks)
 
     def __eq__(self, other):
         return (isinstance(other, InducedModule)
@@ -254,24 +252,24 @@ def _mm(a: dict, b: dict) -> dict:
 
 @dataclass(eq=False)
 class GradedOperator:
-    """Band matrix between graded pieces, valid on input degrees [lo, hi].
+    """Band matrix between graded pieces, valid on input degrees [0, hi].
 
     Maps degree n to degree n - shift; blocks[n] is the sparse matrix
-    {(row, col): value} from basis(n) to basis(n - shift).
+    {(row, col): value} from basis(n) to basis(n - shift), held for
+    0 <= n <= hi only.
     """
 
     space: object
     shift: int
-    lo: int
     hi: int
     blocks: dict
 
     @property
     def window(self) -> tuple[int, int]:
-        return (max(0, self.lo), self.hi)
+        return (0, self.hi)
 
     def block(self, n: int) -> dict:
-        if not (self.lo <= n <= self.hi):
+        if n > self.hi:
             raise InputError(f"degree {n} outside valid window {self.window}")
         return self.blocks.get(n, {})
 
@@ -279,30 +277,29 @@ class GradedOperator:
         """self applied after other."""
         if self.space != other.space:
             raise InternalError("composing operators on different spaces")
-        lo = max(other.lo, self.lo + other.shift)
         hi = min(other.hi, self.hi + other.shift)
-        if hi < 0 or hi < lo:
+        if hi < 0:
             raise InputError("composition has an empty valid window")
         blocks = {}
-        for n in range(max(0, lo), hi + 1):
+        for n in range(hi + 1):
             blocks[n] = _mm(self.blocks.get(n - other.shift, {}),
                             other.blocks.get(n, {}))
-        return GradedOperator(self.space, self.shift + other.shift, lo, hi, blocks)
+        return GradedOperator(self.space, self.shift + other.shift, hi, blocks)
 
     def add(self, other: "GradedOperator", coeff=1) -> "GradedOperator":
         if self.space != other.space or self.shift != other.shift:
             raise InternalError("adding incompatible graded operators")
-        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        if hi < 0 or hi < lo:
+        hi = min(self.hi, other.hi)
+        if hi < 0:
             raise InputError("sum has an empty valid window")
         blocks = {}
-        for n in range(max(0, lo), hi + 1):
+        for n in range(hi + 1):
             blk = dict(self.blocks.get(n, {}))
             for k, v in other.blocks.get(n, {}).items():
                 w = blk.get(k, 0) + coeff * v
                 blk[k] = w
             blocks[n] = {k: v for k, v in blk.items() if v}
-        return GradedOperator(self.space, self.shift, lo, hi, blocks)
+        return GradedOperator(self.space, self.shift, hi, blocks)
 
     def sub(self, other: "GradedOperator") -> "GradedOperator":
         return self.add(other, coeff=-1)
@@ -310,15 +307,10 @@ class GradedOperator:
     def scale(self, c) -> "GradedOperator":
         blocks = {n: ({k: c * v for k, v in blk.items()} if c else {})
                   for n, blk in self.blocks.items()}
-        return GradedOperator(self.space, self.shift, self.lo, self.hi, blocks)
-
-    def is_zero(self) -> bool:
-        return all(not blk for n, blk in self.blocks.items()
-                   if max(0, self.lo) <= n <= self.hi)
+        return GradedOperator(self.space, self.shift, self.hi, blocks)
 
     def max_abs(self) -> Fraction:
-        vals = [abs(Fraction(v)) for n, blk in self.blocks.items()
-                if max(0, self.lo) <= n <= self.hi for v in blk.values()]
+        vals = [abs(Fraction(v)) for blk in self.blocks.values() for v in blk.values()]
         return max(vals, default=Fraction(0))
 
     def dense_block(self, n: int) -> list:
@@ -331,7 +323,7 @@ class GradedOperator:
     @staticmethod
     def identity(space, hi: int) -> "GradedOperator":
         blocks = {n: {(i, i): 1 for i in range(space.dim(n))} for n in range(hi + 1)}
-        return GradedOperator(space, 0, _NEG, hi, blocks)
+        return GradedOperator(space, 0, hi, blocks)
 
 
 def commutator(a: GradedOperator, b: GradedOperator) -> GradedOperator:
@@ -363,7 +355,7 @@ def sugawara_op(k: int, module: InducedModule) -> GradedOperator:
             term = piece if term is None else term.add(piece)
         return term
 
-    total = GradedOperator(module, k, _NEG, hi, {})
+    total = GradedOperator(module, k, hi, {})
     for j in range(k // 2 + 1, d + 1):
         if abs(k - j) <= d:
             total = total.add(factor_pair(k - j, j))
@@ -394,7 +386,7 @@ def check_sugawara_bracket(k: int, l: int, module: InducedModule) -> GradedOpera
     return res
 
 
-def check_current_bracket(k: int, m: int, gen, module: InducedModule) -> GradedOperator:
+def check_current_bracket(k: int, m: int, g: int, module: InducedModule) -> GradedOperator:
     """Residual of [T(D_k), X t^m] = m X t^{m+k}; contract: zero.
 
     D_k acts on Laurent polynomials as t^{k+1} d/dt, so D_k t^m = m t^{m+k}.
@@ -402,9 +394,9 @@ def check_current_bracket(k: int, m: int, gen, module: InducedModule) -> GradedO
     d = module.degree_bound
     if d - max(0, -k) - max(0, -m) < 0:
         raise InputError(f"degree bound {d} leaves no usable window for k={k}, m={m}")
-    res = commutator(sugawara_op(k, module), module.action(m, gen))
+    res = commutator(sugawara_op(k, module), module.action(m, g))
     if m:
-        res = res.sub(module.action(m + k, gen).scale(m))
+        res = res.sub(module.action(m + k, g).scale(m))
     return res
 
 
@@ -462,80 +454,65 @@ def _pivot_columns(rows) -> list[int]:
 class IntegrableQuotient:
     """Degreewise quotient of an induced module by the radical of b.
 
-    `kept` / `kept_minus` hold the indices of the basis elements representing
-    the quotient in the first and second slot of b; `proj_plus[n]` (resp.
-    `proj_minus[n]`) is the rational (q x dim) matrix sending a degree-n
-    coordinate vector to its quotient coordinates over the kept basis.
+    Every Gram block satisfies G_n^T = (-1)^mu G_n, so the left and right
+    radicals of b coincide and one quotient serves both slots.  `kept[n]`
+    holds the indices of the basis elements representing the degree-n
+    quotient; `proj[n]` is the rational (q x dim) matrix sending a degree-n
+    coordinate vector to its quotient coordinates over the kept basis;
     `gram_inverse[n]` is the inverse of the degree-n Gram block between the
     kept bases.
     """
 
     module: InducedModule
     pairing: "GramPairing"
-    degree_bound: int
     kept: dict
-    kept_minus: dict
-    proj_plus: dict
-    proj_minus: dict
+    proj: dict
     gram_inverse: dict
 
     def dim(self, n: int) -> int:
-        return len(self.kept.get(n, ())) if 0 <= n <= self.degree_bound else 0
+        return len(self.kept.get(n, ()))
 
-    def _descend(self, op: GradedOperator, n: int, kept: dict, proj: dict) -> list:
+    def descend(self, op: GradedOperator, n: int) -> list:
+        """Quotient matrix of an operator in either slot of b, input degree n."""
         m = n - op.shift
-        if not (0 <= m <= self.degree_bound and 0 <= n <= self.degree_bound):
+        if m not in self.kept or n not in self.kept:
             raise InputError(f"degrees ({n},{m}) outside quotient bound")
         blk = op.block(n)
         by_col: dict = {}
         for (r, c), v in blk.items():
             by_col.setdefault(c, []).append((r, v))
-        q_out = len(kept[m])
-        out = [[Fraction(0)] * len(kept[n]) for _ in range(q_out)]
-        for b, col in enumerate(kept[n]):
+        q_out = len(self.kept[m])
+        prc = self.proj[m]
+        out = [[Fraction(0)] * len(self.kept[n]) for _ in range(q_out)]
+        for b, col in enumerate(self.kept[n]):
             for r, v in by_col.get(col, ()):
-                prc = proj[m]
                 for a in range(q_out):
                     if prc[a][r]:
                         out[a][b] += prc[a][r] * v
         return out
 
-    def descend(self, op: GradedOperator, n: int) -> list:
-        """Quotient matrix of an operator in the first slot, input degree n."""
-        return self._descend(op, n, self.kept, self.proj_plus)
-
-    def descend_minus(self, op: GradedOperator, n: int) -> list:
-        """Quotient matrix of an operator in the second slot, input degree n."""
-        return self._descend(op, n, self.kept_minus, self.proj_minus)
-
 
 def integrable_quotient(module: InducedModule) -> IntegrableQuotient:
     """Quotient by the radical of b, computed degree by degree."""
-    d = module.degree_bound
     pairing = GramPairing(module)
-    if len(_pivot_columns(pairing.gram(0))) != module.mu + 1:
-        raise InternalError("degree-0 pairing is singular; b_mu must be perfect")
-    kept, kept_minus, proj_plus, proj_minus, gram_inverse = {}, {}, {}, {}, {}
-    for n in range(d + 1):
+    sign = (-1) ** module.mu
+    kept, proj, gram_inverse = {}, {}, {}
+    for n in range(module.degree_bound + 1):
         g = pairing.gram(n)
-        km = _pivot_columns(g)
-        kp = _pivot_columns(transpose(g))
-        if len(km) != len(kp):
-            raise InternalError("Gram matrix row and column ranks disagree")
-        kept[n], kept_minus[n] = kp, km
-        if not kp:
-            proj_plus[n], proj_minus[n], gram_inverse[n] = [], [], []
+        if transpose(g) != [[sign * v for v in row] for row in g]:
+            raise InternalError(f"degree-{n} Gram matrix is not (-1)^mu-symmetric")
+        k = kept[n] = _pivot_columns(g)
+        if not k:
+            proj[n], gram_inverse[n] = [], []
             continue
-        g_km = [[row[j] for j in km] for row in g]
         try:
-            inv = gram_inverse[n] = invert([g_km[i] for i in kp])
+            inv = gram_inverse[n] = invert([[g[i][j] for j in k] for i in k])
         except ValueError:
             raise InternalError(f"degree-{n} quotient pairing is not perfect") from None
-        proj_plus[n] = transpose(mat_mul(g_km, inv))
-        proj_minus[n] = mat_mul(inv, [g[i] for i in kp])
-    return IntegrableQuotient(module=module, pairing=pairing,
-                              degree_bound=d, kept=kept, kept_minus=kept_minus,
-                              proj_plus=proj_plus, proj_minus=proj_minus,
+        proj[n] = mat_mul(inv, [g[i] for i in k])
+    if len(kept[0]) != module.mu + 1:
+        raise InternalError("degree-0 pairing is singular; b_mu must be perfect")
+    return IntegrableQuotient(module=module, pairing=pairing, kept=kept, proj=proj,
                               gram_inverse=gram_inverse)
 
 
@@ -547,9 +524,6 @@ class GluingTensorSeries:
     instance of the recursion; gluing_tensor raises unless each one is zero.
     """
 
-    level: int
-    mu: int
-    degree_bound: int
     quotient: IntegrableQuotient
     terms: list  # terms[d] = matrix of epsilon_d over the kept bases
     residuals: list
@@ -575,7 +549,7 @@ def gluing_tensor(level: int, mu: int, d: int) -> GluingTensorSeries:
                 # (X t+^n (x) 1) eps_{dp+n} = A . M_{dp+n};
                 # (1 (x) X t-^{-n}) eps_dp = M_dp . B^T
                 lhs = mat_mul(quot.descend(plus_op, dp + n), terms[dp + n])
-                rhs = mat_mul(terms[dp], transpose(quot.descend_minus(minus_op, dp)))
+                rhs = mat_mul(terms[dp], transpose(quot.descend(minus_op, dp)))
                 worst = Fraction(0)
                 for i in range(quot.dim(dp)):
                     for j in range(quot.dim(dp + n)):
@@ -586,5 +560,4 @@ def gluing_tensor(level: int, mu: int, d: int) -> GluingTensorSeries:
                     raise InternalError(
                         f"gluing recursion fails at n={n}, gen={gen}, degree {dp}")
                 residuals.append((n, gen, dp, worst))
-    return GluingTensorSeries(level=level, mu=mu, degree_bound=d, quotient=quot,
-                              terms=terms, residuals=residuals)
+    return GluingTensorSeries(quotient=quot, terms=terms, residuals=residuals)

@@ -16,11 +16,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import InputError, InternalError
-from .liealg import sl2_irrep_matrices
-from .linalg import IntSpan, commutator, is_zero, strides, transpose
+from .liealg import casimir_eigenvalue, root_system, sl2_irrep_matrices
+from .linalg import IntSpan, commutator, identity, is_zero, mat_sub, strides, transpose
 from .oracle import CoinvariantProblem, npoint_block_ranks
-
-Mat = list  # list of rows of Fraction
 
 
 class _TensorOps:
@@ -203,20 +201,22 @@ def flatness_check(system: KZSystem) -> bool:
     return True
 
 
-def translation_contraction(system: KZSystem, z) -> Mat:
-    """The form at z contracted with the translation (1, ..., 1).
+def residue_check(system: KZSystem) -> bool:
+    """Residue sums: sum_{j != i} A_ij = c(lambda_i)/(l+2) on the block, every i.
 
-    d(z_i - z_j) vanishes on a translation, so every term is zero whatever
-    A_ij is; only colliding coordinates are rejected.
+    g acts as zero on the block, so there sum_{j != i} c^(ij) acts as minus
+    the Casimir of slot i, whose eigenvalue on V_lambda_i is c(lambda_i).
     """
-    n = system.n
-    z = tuple(z)
-    if len(z) != n:
-        raise InputError(f"expected {n} coordinates, got {len(z)}")
-    for i, j in system.a_matrices:
-        if z[i] == z[j]:
-            raise InputError(f"coordinates {i} and {j} collide")
-    return [[Fraction(0)] * system.dim for _ in range(system.dim)]
+    rs = root_system("A1")
+    for i, m in enumerate(system.labels):
+        want = casimir_eigenvalue(rs, (m,)) / (system.level + 2)
+        rest = [[want * v for v in row] for row in identity(system.dim)]
+        for pair, mat in system.a_matrices.items():
+            if i in pair:
+                rest = mat_sub(rest, mat)
+        if not is_zero(rest):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

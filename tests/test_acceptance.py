@@ -41,7 +41,7 @@ _params = [
 
 @pytest.mark.parametrize("name", _params)
 def test_criterion(name):
-    result = dict(checks.ALL_CHECKS)[name]()
+    result = checks.run_all([name])[0]
     print(f"{result.name}: {'pass' if result.passed else 'FAIL'} - {result.detail} "
           f"({result.elapsed:.2f}s)")
     budget = BUDGETS[name]

@@ -1,6 +1,7 @@
 """Import boundaries between the package's modules, read from their source."""
 
 import ast
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -11,10 +12,16 @@ SRC = Path(wzw.__file__).parent
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
 
 
-def package_imports(module: str) -> list[tuple[str, str]]:
+@lru_cache(maxsize=None)
+def _tree(module: str) -> ast.Module:
+    return ast.parse((SRC / f"{module}.py").read_text())
+
+
+@lru_cache(maxsize=None)
+def package_imports(module: str) -> tuple[tuple[str, str], ...]:
     """(wzw module, imported name) for every package import in wzw/<module>.py."""
     out = []
-    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+    for node in ast.walk(_tree(module)):
         if isinstance(node, ast.ImportFrom):
             if node.level == 1:
                 source = node.module
@@ -28,7 +35,7 @@ def package_imports(module: str) -> list[tuple[str, str]]:
         elif isinstance(node, ast.Import):
             out += [(a.name.partition(".")[2], a.name) for a in node.names
                     if a.name.split(".")[0] == "wzw"]
-    return out
+    return tuple(out)
 
 
 def test_every_module_is_scanned():
@@ -58,13 +65,10 @@ def test_fast_paths_take_only_the_problem_api_from_the_oracle():
 ENTRY_POINTS = {("cli", "main")}
 
 
-def _read_names(tree: ast.AST, skip: ast.AST | None = None) -> tuple[set, set]:
-    """Names read in tree, and (name, attribute) pairs of dotted reads, outside skip."""
-    skipped = {id(n) for n in ast.walk(skip)} if skip is not None else set()
+def _read_names(tree: ast.AST) -> tuple[set, set]:
+    """Names read in tree, and (name, attribute) pairs of dotted reads."""
     names, dotted = set(), set()
     for node in ast.walk(tree):
-        if id(node) in skipped:
-            continue
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
@@ -72,32 +76,36 @@ def _read_names(tree: ast.AST, skip: ast.AST | None = None) -> tuple[set, set]:
     return names, dotted
 
 
-def _is_used(module: str, definition: ast.AST, trees: dict) -> bool:
-    """Does package code outside the definition refer to it?"""
-    name = definition.name
-    if name in _read_names(trees[module], skip=definition)[0]:
-        return True
-    for other in MODULES:
-        if other == module:
-            continue
-        imports = package_imports(other)
-        names, dotted = _read_names(trees[other])
-        if (module, name) in imports and name in names:
-            return True
-        if (module, module) in imports and (module, name) in dotted:
-            return True
-    return False
-
-
 def test_every_public_definition_is_used_by_package_code():
-    # a public function or class that only tests read is test-only API
-    trees = {m: ast.parse((SRC / f"{m}.py").read_text()) for m in MODULES}
+    # a public function or class that only tests read is test-only API; every
+    # module is parsed and walked once, one top-level statement at a time
+    statement_reads = {m: [_read_names(node) for node in _tree(m).body] for m in MODULES}
+    reads = {m: (set().union(*(names for names, _ in stmts)),
+                 set().union(*(dotted for _, dotted in stmts)))
+             for m, stmts in statement_reads.items()}
+
+    def is_used(module: str, k: int, name: str) -> bool:
+        """Does package code outside the k-th top-level statement of module read name?"""
+        if any(name in names for i, (names, _) in enumerate(statement_reads[module])
+               if i != k):
+            return True
+        for other in MODULES:
+            if other == module:
+                continue
+            imports = package_imports(other)
+            names, dotted = reads[other]
+            if (module, name) in imports and name in names:
+                return True
+            if (module, module) in imports and (module, name) in dotted:
+                return True
+        return False
+
     unused = []
     for module in MODULES:
-        for node in trees[module].body:
+        for k, node in enumerate(_tree(module).body):
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("_")
                     and (module, node.name) not in ENTRY_POINTS
-                    and not _is_used(module, node, trees)):
+                    and not is_used(module, k, node.name)):
                 unused.append(f"{module}.{node.name}")
     assert unused == []

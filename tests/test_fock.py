@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from wzw.errors import InputError
+from wzw.errors import InputError, InternalError
 from wzw.fock import (HEISENBERG, GramPairing, check_current_bracket,
                       check_sugawara_bracket, commutator, fock_space, gluing_tensor,
                       induced_module, integrable_quotient, sugawara_op)
@@ -35,7 +35,7 @@ def test_oscillator_l0_is_minus_degree():
 def test_oscillator_bracket():
     d = 10
     for k, l in [(1, -1), (2, -2), (0, 3), (-2, 1)]:
-        assert check_sugawara_bracket(k, l, fock_space(d)).is_zero()
+        assert check_sugawara_bracket(k, l, fock_space(d)).max_abs() == 0
 
 
 def test_oscillator_commutator_raw():
@@ -93,6 +93,31 @@ def test_level_zero_quotient_is_trivial():
     assert [quot.dim(n) for n in range(4)] == [1, 0, 0, 0]
 
 
+def test_gram_blocks_are_sign_symmetric():
+    # G_n^T = (-1)^mu G_n, which lets one quotient serve both slots of b
+    for level in range(4):
+        for mu in range(level + 1):
+            pairing = GramPairing(induced_module(level, mu, 5))
+            for n in range(6):
+                g = pairing.gram(n)
+                assert all(g[j][i] == (-1) ** mu * g[i][j]
+                           for i in range(len(g)) for j in range(len(g)))
+
+
+def test_quotient_rejects_an_asymmetric_gram_block(monkeypatch):
+    real_gram = GramPairing.gram
+
+    def skewed(self, n):
+        g = real_gram(self, n)
+        if n == 1:
+            g[0][1] += 1
+        return g
+
+    monkeypatch.setattr(GramPairing, "gram", skewed)
+    with pytest.raises(InternalError, match="symmetric"):
+        integrable_quotient(induced_module(1, 0, 2))
+
+
 def _apply_to_vector(module, m, g, vec):
     out = {}
     for key, val in vec.items():
@@ -121,11 +146,11 @@ def test_null_vector_lies_in_radical():
 
 def test_sugawara_bracket_and_current():
     module = induced_module(1, 0, 6)
-    assert check_sugawara_bracket(1, -1, module).is_zero()
-    assert check_sugawara_bracket(2, -2, module).is_zero()
+    assert check_sugawara_bracket(1, -1, module).max_abs() == 0
+    assert check_sugawara_bracket(2, -2, module).max_abs() == 0
     for gen in range(3):
-        assert check_current_bracket(1, -1, gen, module).is_zero()
-        assert check_current_bracket(-1, 0, gen, module).is_zero()
+        assert check_current_bracket(1, -1, gen, module).max_abs() == 0
+        assert check_current_bracket(-1, 0, gen, module).max_abs() == 0
 
 
 def test_sugawara_l0_eigenvalue():

@@ -1,5 +1,6 @@
-"""KZ connection matrices, Kohno flatness, and numeric parallel transport."""
+"""KZ connection matrices, Kohno flatness, residue sums, and numeric parallel transport."""
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from wzw.errors import InputError
-from wzw.kz import flatness_check, kz_system, parallel_transport, translation_contraction
+from wzw.kz import flatness_check, kz_system, parallel_transport, residue_check
 from wzw.liealg import sl2_irrep_matrices
 
 F = Fraction
@@ -102,19 +103,23 @@ def test_flatness_samples():
         assert flatness_check(kz_system(level, labels))
 
 
-def test_translation_contraction_zero():
-    system = kz_system(2, (1, 1, 2))
-    out = translation_contraction(system, system.base_point)
-    assert all(v == 0 for row in out for v in row)
-    shifted = tuple(z + 7 for z in system.base_point)
-    out = translation_contraction(system, shifted)
-    assert all(v == 0 for row in out for v in row)
+RESIDUE_SAMPLES = [(1, (1, 1, 1, 1)), (2, (1, 1, 2)), (2, (2, 2, 2, 2)), (3, (1, 2, 3)),
+                   (3, (3, 3, 3, 3)), (5, (3, 3, 3, 3)), (5, (2, 2, 2, 2, 2))]
 
 
-def test_translation_contraction_rejects_collision():
-    system = kz_system(2, (1, 1, 2))
-    with pytest.raises(InputError):
-        translation_contraction(system, (F(0), F(0), F(1)))
+@pytest.mark.parametrize("level,labels", RESIDUE_SAMPLES)
+def test_residue_sums_hold(level, labels):
+    assert residue_check(kz_system(level, labels))
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0)])
+def test_residue_check_detects_a_perturbed_entry(entry):
+    system = kz_system(2, (1, 1, 1, 1))
+    mats = {key: [row[:] for row in m] for key, m in system.a_matrices.items()}
+    r, c = entry
+    mats[(1, 3)][r][c] += F(1, 7)
+    assert not residue_check(dataclasses.replace(system, a_matrices=mats))
+    assert residue_check(system)
 
 
 def test_system_validation():
