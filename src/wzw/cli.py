@@ -4,8 +4,8 @@ Six subcommands (fusion-table, dim, dehn, oracle, kz, verify) expose the
 library for batch use. JSON is the machine format, TSV the human one;
 rational numbers are printed as "p/q" strings except in `kz transport`,
 whose output is explicitly floating point. Runs with identical flags
-produce byte-identical output. Exit codes: 0 success, 1 rejected input or
-a failed verification, 2 internal invariant violation.
+produce byte-identical output. Exit codes: 0 success, 1 rejected input, a
+failed verification or a closed stdout, 2 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -341,7 +342,15 @@ def main(argv=None) -> int:
     except Exception as e:  # any other escape is a bug, never an input problem
         print(f"internal error: {e!r}", file=sys.stderr)
         return 2
-    _emit(payload, rows, args.format)
+    try:
+        _emit(payload, rows, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout, so the output is lost: exit 1, and point
+        # stdout at devnull so that the flush at shutdown does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     return code
 
 

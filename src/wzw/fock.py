@@ -1,10 +1,10 @@
 """Truncated graded induced modules of current algebras, with exact window tracking.
 
-Every operator here is a GradedOperator: a band of exact matrices between
-graded pieces together with the degree window [0, hi] on which the truncation
-agrees with the true operator (degrees below 0 are empty).  Compositions and
-sums take the smaller top edge, so identity checks on a window are honest
-statements about the untruncated algebra.
+Every operator here is a GradedOperator: a band of integer matrices between
+graded pieces, one rational factor, and the degree window [0, hi] on which
+the truncation agrees with the true operator (degrees below 0 are empty).
+Compositions and sums take the smaller top edge, so identity checks on a
+window are honest statements about the untruncated algebra.
 
 One construction serves every current algebra g with an invariant form: the
 module induced from a g-irrep at level l, and the Sugawara operators on it.
@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Callable
 
 from .errors import InputError, InternalError
@@ -152,10 +153,11 @@ class InducedModule:
     def dim(self, n: int) -> int:
         return 0 if n < 0 else len(_colored_partitions(n, self._colors)) * (self.mu + 1)
 
-    def index(self, n: int, elt) -> int:
+    def positions(self, n: int) -> dict:
+        """Basis element -> its position in basis(n)."""
         if n not in self._index:
             self._index[n] = {e: i for i, e in enumerate(self.basis(n))}
-        return self._index[n][elt]
+        return self._index[n]
 
     def weight(self, elt) -> int:
         mono, i = elt
@@ -208,9 +210,10 @@ class InducedModule:
         blocks = {}
         for n in range(0, hi + 1):
             blk = {}
+            rows = self.positions(n - m)
             for col, elt in enumerate(self.basis(n)):
                 for melt, c in self.apply_gen(m, g, elt).items():
-                    blk[self.index(n - m, melt), col] = c
+                    blk[rows[melt], col] = c
             blocks[n] = blk
         return GradedOperator(space=self, shift=m, hi=hi, blocks=blocks)
 
@@ -254,15 +257,18 @@ def _mm(a: dict, b: dict) -> dict:
 class GradedOperator:
     """Band matrix between graded pieces, valid on input degrees [0, hi].
 
-    Maps degree n to degree n - shift; blocks[n] is the sparse matrix
+    Maps degree n to degree n - shift; blocks[n] is the sparse integer matrix
     {(row, col): value} from basis(n) to basis(n - shift), held for
-    0 <= n <= hi only.
+    0 <= n <= hi only.  The operator is `factor` times its blocks; the factor
+    is its one rational number, applied once where entries are read out
+    (`entries`, `max_abs`, `IntegrableQuotient.descend`).
     """
 
     space: object
     shift: int
     hi: int
     blocks: dict
+    factor: Fraction = Fraction(1)
 
     @property
     def window(self) -> tuple[int, int]:
@@ -284,41 +290,44 @@ class GradedOperator:
         for n in range(hi + 1):
             blocks[n] = _mm(self.blocks.get(n - other.shift, {}),
                             other.blocks.get(n, {}))
-        return GradedOperator(self.space, self.shift + other.shift, hi, blocks)
+        return GradedOperator(self.space, self.shift + other.shift, hi, blocks,
+                              self.factor * other.factor)
 
-    def add(self, other: "GradedOperator", coeff=1) -> "GradedOperator":
+    def add(self, other: "GradedOperator") -> "GradedOperator":
+        """The sum, over the common factor gcd(f, g) = gcd(numerators)/lcm(denominators)."""
         if self.space != other.space or self.shift != other.shift:
             raise InternalError("adding incompatible graded operators")
         hi = min(self.hi, other.hi)
         if hi < 0:
             raise InputError("sum has an empty valid window")
+        f, g = self.factor, other.factor
+        common = Fraction(gcd(f.numerator, g.numerator),
+                          f.denominator // gcd(f.denominator, g.denominator) * g.denominator)
+        a, b = int(f / common), int(g / common)
         blocks = {}
         for n in range(hi + 1):
-            blk = dict(self.blocks.get(n, {}))
+            blk = {k: a * v for k, v in self.blocks.get(n, {}).items()}
             for k, v in other.blocks.get(n, {}).items():
-                w = blk.get(k, 0) + coeff * v
-                blk[k] = w
+                blk[k] = blk.get(k, 0) + b * v
             blocks[n] = {k: v for k, v in blk.items() if v}
-        return GradedOperator(self.space, self.shift, hi, blocks)
+        return GradedOperator(self.space, self.shift, hi, blocks, common)
 
     def sub(self, other: "GradedOperator") -> "GradedOperator":
-        return self.add(other, coeff=-1)
+        return self.add(other.scale(-1))
 
     def scale(self, c) -> "GradedOperator":
-        blocks = {n: ({k: c * v for k, v in blk.items()} if c else {})
-                  for n, blk in self.blocks.items()}
-        return GradedOperator(self.space, self.shift, self.hi, blocks)
+        if not c:
+            return GradedOperator(self.space, self.shift, self.hi,
+                                  {n: {} for n in self.blocks})
+        return GradedOperator(self.space, self.shift, self.hi, self.blocks, self.factor * c)
 
     def max_abs(self) -> Fraction:
-        vals = [abs(Fraction(v)) for blk in self.blocks.values() for v in blk.values()]
-        return max(vals, default=Fraction(0))
+        top = max((abs(v) for blk in self.blocks.values() for v in blk.values()), default=0)
+        return abs(self.factor) * top
 
-    def dense_block(self, n: int) -> list:
-        rows, cols = self.space.dim(n - self.shift), self.space.dim(n)
-        out = [[Fraction(0)] * cols for _ in range(rows)]
-        for (i, j), v in self.block(n).items():
-            out[i][j] = Fraction(v)
-        return out
+    def entries(self, n: int) -> dict:
+        """The nonzero rational entries {(row, col): value} of degree n's block."""
+        return {key: self.factor * v for key, v in self.block(n).items()}
 
     @staticmethod
     def identity(space, hi: int) -> "GradedOperator":
@@ -414,14 +423,17 @@ class GramPairing:
     def __init__(self, module: InducedModule):
         self.module = module
         self._memo: dict = {}
+        self._weight: dict = {}  # basis element -> weight, for degrees < _indexed
+        self._indexed = 0
 
     def value(self, u, uprime):
+        """b(u, u') for basis elements of a degree `gram` has indexed."""
         key = (u, uprime)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
         mono, vi = u
-        if self.module.weight(u) + self.module.weight(uprime) != 0:
+        if self._weight[u] + self._weight[uprime] != 0:
             val = 0
         elif not mono:
             mono2, vj = uprime
@@ -439,6 +451,11 @@ class GramPairing:
 
     def gram(self, n: int) -> list:
         """Integer Gram matrix of the degree-n piece."""
+        # the recursion only reaches basis elements of degree <= n
+        while self._indexed <= n:
+            for elt in self.module.basis(self._indexed):
+                self._weight[elt] = self.module.weight(elt)
+            self._indexed += 1
         basis = self.module.basis(n)
         return [[self.value(u, up) for up in basis] for u in basis]
 
@@ -489,6 +506,8 @@ class IntegrableQuotient:
                 for a in range(q_out):
                     if prc[a][r]:
                         out[a][b] += prc[a][r] * v
+        if op.factor != 1:
+            out = [[op.factor * x for x in row] for row in out]
         return out
 
 

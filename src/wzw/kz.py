@@ -11,6 +11,7 @@ Parallel transport is the single floating-point boundary of the package.
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -53,11 +54,11 @@ class _TensorOps:
         return {k: v for k, v in out.items() if v}
 
     def casimir_pair(self, vec: dict, i: int, j: int) -> dict:
-        # E_i F_j + F_i E_j + 1/2 H_i H_j
+        # 2 c^(ij) = 2 E_i F_j + 2 F_i E_j + H_i H_j, integral on integral vectors
         out: dict = {}
-        for a, b, coef in ((self.reps[i].E, self.reps[j].F, 1),
-                           (self.reps[i].F, self.reps[j].E, 1),
-                           (self.reps[i].H, self.reps[j].H, Fraction(1, 2))):
+        for a, b, coef in ((self.reps[i].E, self.reps[j].F, 2),
+                           (self.reps[i].F, self.reps[j].E, 2),
+                           (self.reps[i].H, self.reps[j].H, 1)):
             tmp = self.apply_slot(self.apply_slot(vec, j, b), i, a)
             for k, v in tmp.items():
                 out[k] = out.get(k, 0) + coef * v
@@ -132,10 +133,10 @@ def kz_system(level: int, labels) -> KZSystem:
     # g acts as zero on the quotient; a nonzero residual is an echelon bug
     for f in free:
         for gen in "EFH":
-            if any(to_quotient(ops.diagonal({f: Fraction(1)}, gen))):
+            if any(to_quotient(ops.diagonal({f: 1}, gen))):
                 raise InternalError("diagonal action does not vanish on the quotient")
 
-    base_point = tuple(Fraction(n - 1 - 2 * i) for i in range(n))
+    base_point = tuple(n - 1 - 2 * i for i in range(n))
     block_rank, oracle_classical = npoint_block_ranks(
         CoinvariantProblem(level=level, labels=labels, points=base_point))
     if oracle_classical != classical_dim:
@@ -144,8 +145,8 @@ def kz_system(level: int, labels) -> KZSystem:
 
     def connection(to_space, basis) -> dict:
         """A_ij on a quotient; column k is the image of the basis vector basis[k]."""
-        return {(i, j): transpose([[-v / (level + 2) for v in
-                                    to_space(ops.casimir_pair({b: Fraction(1)}, i, j))]
+        return {(i, j): transpose([[Fraction(-v, 2 * (level + 2)) for v in
+                                    to_space(ops.casimir_pair({b: 1}, i, j))]
                                    for b in basis])
                 for i, j in combinations(range(n), 2)}
 
@@ -158,7 +159,7 @@ def kz_system(level: int, labels) -> KZSystem:
     # level truncation: quotient further by the image of T^{l+1} at base_point
     w_span = IntSpan()
     for b in range(D):
-        w = ops.t_power({b: Fraction(1)}, base_point, level + 1)
+        w = ops.t_power({b: 1}, base_point, level + 1)
         if not w:
             continue
         wq = to_quotient(w)
@@ -307,8 +308,8 @@ def _transport_fixed(system: KZSystem, waypoints, per_seg: int) -> list:
         return om
 
     def mul(a, b):
-        return [[sum(a[i][t] * b[t][j] for t in range(dim)) for j in range(dim)]
-                for i in range(dim)]
+        cols = list(zip(*b))
+        return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
 
     for s in range(len(waypoints) - 1):
         p = [complex(x) for x in waypoints[s]]
@@ -324,9 +325,11 @@ def _transport_fixed(system: KZSystem, waypoints, per_seg: int) -> list:
             z1 = [a + (t0 + h) * d for a, d in zip(p, dz)]
             k1 = mul(omega(z0, dz), y)
             y1 = [[y[i][j] + h / 2 * k1[i][j] for j in range(dim)] for i in range(dim)]
-            k2 = mul(omega(zh, dz), y1)
+            # k2 and k3 are both taken at the midpoint
+            om_h = omega(zh, dz)
+            k2 = mul(om_h, y1)
             y2 = [[y[i][j] + h / 2 * k2[i][j] for j in range(dim)] for i in range(dim)]
-            k3 = mul(omega(zh, dz), y2)
+            k3 = mul(om_h, y2)
             y3 = [[y[i][j] + h * k3[i][j] for j in range(dim)] for i in range(dim)]
             k4 = mul(omega(z1, dz), y3)
             y = [[y[i][j] + h / 6 * (k1[i][j] + 2 * k2[i][j] + 2 * k3[i][j] + k4[i][j])

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 from .errors import InputError
 from .linalg import IntSpan, strides
@@ -106,7 +107,14 @@ def npoint_block_ranks(problem: CoinvariantProblem) -> tuple[int, int]:
     if len(z) != len(labels):
         raise InputError(f"{len(labels)} labels but {len(z)} points")
     if len(set(z)) != len(z):
-        raise InputError(f"points must be pairwise distinct, got {z}")
+        raise InputError("points must be pairwise distinct, got "
+                         + ",".join(str(p) for p in z))
+    # (D T)^{1+l} = D^{1+l} T^{1+l} spans the same rows, so scaling the points
+    # by the lcm D of their denominators keeps every coefficient an integer
+    lcm = 1
+    for p in z:
+        lcm = lcm // gcd(lcm, p.denominator) * p.denominator
+    zint = tuple(int(p * lcm) for p in z)
 
     dims = [m + 1 for m in labels]
     stride = strides(dims)
@@ -120,8 +128,8 @@ def npoint_block_ranks(problem: CoinvariantProblem) -> tuple[int, int]:
     classical = total - span.rank
 
     # image of T^{1+l}, T = sum_i z_i E^{(i)}, by iterated application
-    def apply_t(vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
+    def apply_t(vec: dict[int, int]) -> dict[int, int]:
+        out: dict[int, int] = {}
         for flat, coeff in vec.items():
             idx = []
             rest = flat
@@ -131,18 +139,17 @@ def npoint_block_ranks(problem: CoinvariantProblem) -> tuple[int, int]:
             for slot, (m, j) in enumerate(zip(labels, idx)):
                 if j >= 1:
                     tgt = flat - stride[slot]
-                    out[tgt] = out.get(tgt, Fraction(0)) \
-                        + coeff * z[slot] * j * (m - j + 1)
+                    out[tgt] = out.get(tgt, 0) + coeff * zint[slot] * j * (m - j + 1)
         return {k: v for k, v in out.items() if v}
 
     for start in range(total):
-        vec: dict[int, Fraction] = {start: Fraction(1)}
+        vec = {start: 1}
         for _ in range(problem.level + 1):
             vec = apply_t(vec)
             if not vec:
                 break
         if vec:
-            span.add_fraction_row(vec)
+            span.add(vec)
     return total - span.rank, classical
 
 

@@ -160,8 +160,9 @@ def test_kz_truncation_must_be_flat(tmp_path):
 
 # sha256 prefixes of stdout, recorded before fusion moved to index tables (the
 # fusion and dim rows), before the Fock space became the Heisenberg induced
-# module (the fock and kz rows) and before the algebras were tabulated and the
-# KZ system lost its projection pass (the last five rows)
+# module (the fock and kz rows), before the algebras were tabulated and the KZ
+# system lost its projection pass (the next five rows) and before the oracle,
+# the KZ quotient and the Sugawara operators ran on integers (the last row)
 GOLDEN = [
     (("fusion-table", "--algebra", "A2", "--level", "2"), "c523d7a4f756d0c1"),
     (("fusion-table", "--algebra", "A1", "--level", "8", "--format", "tsv"),
@@ -184,6 +185,9 @@ GOLDEN = [
     (("dehn", "--algebra", "G2", "--level", "2", "--label", "0:1"), "6599d58c1ab5ec1b"),
     (("kz", "matrices", "--level", "5", "--labels", "3,3,3,3"), "a78d41bdc72902f3"),
     (("kz", "matrices", "--level", "5", "--labels", "2,2,2,2,2"), "ddd49dd6ce933b16"),
+    # mixed denominators: the oracle scales the points by their lcm 42
+    (("oracle", "npoint", "--level", "3", "--labels", "1,2,3,2",
+      "--points=1/2,-3/7,5,2/3"), "8e6ca64888ef0992"),
 ]
 
 
@@ -192,6 +196,49 @@ def test_golden_stdout(args, digest):
     out = run_cli(*args)
     assert out.returncode == 0
     assert hashlib.sha256(out.stdout.encode()).hexdigest()[:16] == digest
+
+
+def _benchmark_loop(path, n):
+    """z_0 once around z_1 = 0 on the README's rectangle; z_2, z_3, ... at -2, -4, ..."""
+    rest = [[-2 * k, 0] for k in range(1, n - 1)]
+    corners = [(2, 0), (2, 3), (-1, 3), (-1, -3), (2, -3)]
+    path.write_text(json.dumps({"points": [[[1.0 * x, 1.0 * y], [0, 0]] + rest
+                                           for x, y in corners], "closed": True}))
+    return str(path)
+
+
+@pytest.mark.parametrize("level,labels,steps,digest", [
+    (2, "1,1,2", 4000, "777f78a1ca7a674f"),
+    (4, "2,2,2,2", 8000, "b3708a2d27d0d2ef"),
+])
+def test_golden_transport(tmp_path, level, labels, steps, digest):
+    # recorded before the RK4 step shared its midpoint connection form
+    path = _benchmark_loop(tmp_path / "loop.json", len(labels.split(",")))
+    out = run_cli("kz", "transport", "--level", str(level), "--labels", labels,
+                  "--path", path, "--steps", str(steps))
+    assert out.returncode == 0
+    assert hashlib.sha256(out.stdout.encode()).hexdigest()[:16] == digest
+
+
+def test_oracle_rejects_repeated_points_as_written():
+    out = run_cli("oracle", "npoint", "--level", "2", "--labels", "1,1",
+                  "--points=1/3,1/3")
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr == "error: points must be pairwise distinct, got 1/3,1/3\n"
+
+
+def test_closed_stdout_exits_one_without_traceback():
+    code = ("import sys; from wzw.cli import main; "
+            "sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.Popen([sys.executable, "-c", code, "kz", "matrices", "--level", "1",
+                             "--labels", "1,1,1,1"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()  # the reader is gone before the first write
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 def test_verify_virasoro_report():

@@ -18,6 +18,15 @@ QUOTIENT_DIMS = {
 FULL_DIMS_MU1 = [2, 6, 18, 44, 102, 216, 442]
 
 
+def dense_block(op, n):
+    """Degree n's block of a GradedOperator as a dense list of rational rows."""
+    rows, cols = op.space.dim(n - op.shift), op.space.dim(n)
+    out = [[Fraction(0)] * cols for _ in range(rows)]
+    for (i, j), v in op.entries(n).items():
+        out[i][j] = v
+    return out
+
+
 def test_fock_space_dimensions_are_partition_numbers():
     space = fock_space(8)
     assert [space.dim(n) for n in range(9)] == [1, 1, 2, 3, 5, 7, 11, 15, 22]
@@ -26,7 +35,7 @@ def test_fock_space_dimensions_are_partition_numbers():
 def test_oscillator_l0_is_minus_degree():
     l0 = sugawara_op(0, fock_space(8))
     for n in range(9):
-        blk = l0.dense_block(n)
+        blk = dense_block(l0, n)
         for i in range(len(blk)):
             for j in range(len(blk)):
                 assert blk[i][j] == (-n if i == j else 0)
@@ -44,7 +53,7 @@ def test_oscillator_commutator_raw():
     space = fock_space(d)
     res = commutator(space.action(1, 0), space.action(-1, 0))
     for n in range(res.window[0], res.window[1] + 1):
-        blk = res.dense_block(n)
+        blk = dense_block(res, n)
         for i in range(len(blk)):
             for j in range(len(blk)):
                 assert blk[i][j] == (1 if i == j else 0)
@@ -78,7 +87,7 @@ def test_action_respects_level_one_relations():
     # E t^1 then E t^{-1} maps v0 within degree 0; H t^0 reads the weight
     m = induced_module(1, 1, 4)
     h0 = m.action(0, 1)
-    blk = h0.dense_block(0)
+    blk = dense_block(h0, 0)
     assert sorted(blk[i][i] for i in range(2)) == [-1, 1]
 
 
@@ -139,7 +148,7 @@ def test_null_vector_lies_in_radical():
         gram = pairing.gram(deg)
         coords = [Fraction(0)] * module.dim(deg)
         for key, val in vec.items():
-            coords[module.index(deg, key)] = val
+            coords[module.positions(deg)[key]] = val
         for j in range(module.dim(deg)):
             assert sum(coords[i] * gram[i][j] for i in range(len(coords))) == 0
 
@@ -153,12 +162,37 @@ def test_sugawara_bracket_and_current():
         assert check_current_bracket(-1, 0, gen, module).max_abs() == 0
 
 
+def _block_values(op):
+    return [v for blk in op.blocks.values() for v in blk.values()]
+
+
+def test_sugawara_blocks_are_integers():
+    # the 1/2 of the Casimir and the -1/(l+h) live in the operator's factor
+    for module in (induced_module(1, 1, 6), induced_module(2, 2, 6), fock_space(8)):
+        for k in range(-2, 3):
+            values = _block_values(sugawara_op(k, module))
+            assert values and all(type(v) is int for v in values), (module, k)
+        for k, l in [(1, -1), (2, -2), (1, 2), (0, -2)]:
+            values = _block_values(check_sugawara_bracket(k, l, module))
+            assert all(type(v) is int for v in values), (module, k, l)
+    assert sugawara_op(0, induced_module(2, 2, 6)).factor == Fraction(-1, 16)
+
+
+def test_scaled_composition_scales_max_abs():
+    module = induced_module(2, 1, 5)
+    a, b = sugawara_op(1, module), module.action(-2, 0)
+    base = a.compose(b).max_abs()
+    assert base != 0
+    for c, d in [(Fraction(1, 2), 3), (-2, Fraction(-5, 7)), (Fraction(3, 4), Fraction(4, 3))]:
+        assert a.scale(c).compose(b.scale(d)).max_abs() == abs(c * d) * base
+
+
 def test_sugawara_l0_eigenvalue():
     module = induced_module(2, 1, 4)
     t0 = sugawara_op(0, module)
     c_mu = Fraction(3, 2)
     for n in range(5):
-        blk = t0.dense_block(n)
+        blk = dense_block(t0, n)
         want = -(n + c_mu / 8)
         for i in range(len(blk)):
             for j in range(len(blk)):

@@ -70,6 +70,16 @@ def test_rank_independent_of_points():
     assert ranks == {1}
 
 
+def test_ranks_invariant_under_scaling_the_points():
+    # T^{1+l} only scales by c^{1+l}, so its image, and both ranks, stay put
+    z = (Fraction(1, 2), Fraction(-3, 7), Fraction(5), Fraction(2, 3))
+    for level, labels in [(1, (1, 1, 1, 1)), (2, (2, 1, 2, 1)), (3, (1, 2, 3, 2))]:
+        want = npoint_block_ranks(CoinvariantProblem(level, labels, z))
+        for c in (Fraction(-1), Fraction(3, 5), Fraction(-7, 2), Fraction(42)):
+            scaled = tuple(c * p for p in z)
+            assert npoint_block_ranks(CoinvariantProblem(level, labels, scaled)) == want
+
+
 def test_propagation_preserves_rank():
     assert propagation_check(1, (1, 1), (Fraction(0), Fraction(1)))
     assert propagation_check(2, (2, 1, 1), (Fraction(0), Fraction(1), Fraction(4)))
