@@ -86,8 +86,11 @@ def alphabet(rs: RootSystem, level: int) -> FusionAlphabet:
 @lru_cache(maxsize=None)
 def _truncated_product(rs: RootSystem, level: int, lam: Weight, mu: Weight) -> dict[Weight, int]:
     """Kac-Walton: fold the classical decomposition into the level alcove."""
-    shifted_level = level + rs.dual_coxeter
+    # heights are pair(x, theta) = D * (x, theta), compared against (l + h) * D
+    denominator = rs.denominator
+    wall = (level + rs.dual_coxeter) * denominator
     theta = rs.highest_root
+    theta_column = rs.column(theta)
     out: dict[Weight, int] = {}
     for nu, m in tensor_decompose(rs, lam, mu).items():
         x = tuple(c + 1 for c in nu)
@@ -98,14 +101,17 @@ def _truncated_product(rs: RootSystem, level: int, lam: Weight, mu: Weight) -> d
             sign *= s
             if sign == 0:
                 break
-            height = rs.form(x, theta)
-            if height < shifted_level:
+            height = sum(c * t for c, t in zip(x, theta_column))
+            if height < wall:
                 key = tuple(c - 1 for c in x)
                 out[key] = out.get(key, 0) + sign * m
                 break
-            if height == shifted_level:
+            if height == wall:
                 break  # affine wall
-            x = tuple(c - int(height - shifted_level) * t for c, t in zip(x, theta))
+            over, rem = divmod(height - wall, denominator)
+            if rem:
+                raise InternalError(f"height of {x} over the affine wall is not an integer")
+            x = tuple(c - over * t for c, t in zip(x, theta))
             sign = -sign
             fuel -= 1
             if fuel == 0:

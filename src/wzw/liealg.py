@@ -8,9 +8,14 @@ Conventions used throughout the package:
   coordinate vector of a_j is column j of the Cartan matrix;
 * the invariant form is normalized so long roots have squared length 2
   (equivalently, the dual form on the algebra gives c(theta, theta) = 2);
-  it is stored as the rational Gram matrix on fundamental weights.
+  it is stored as the integer Gram matrix `gram` = D * form on fundamental
+  weights over its one denominator D (A1 2, A2 3, B2 2, G2 3, D4 2).
 
-Everything is exact rational arithmetic; nothing in this module floats.
+Everything runs on integers: `pair` is D times the form, the D cancels in
+the Weyl-dimension and Freudenthal quotients, and every quotient that must
+be integral is taken with `divmod` and its remainder checked.  Only `form`
+and `casimir_eigenvalue` return the rational value, as `Fraction(., D)`;
+nothing in this module floats.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import lcm
 
 from .errors import InputError, InternalError
 from .linalg import commutator, det, identity, invert, is_zero, mat_mul
@@ -61,8 +67,10 @@ class RootSystem:
     series: str
     rank: int
     cartan_matrix: tuple[tuple[int, ...], ...]
-    form_matrix: tuple[tuple[Fraction, ...], ...]
+    gram: tuple[tuple[int, ...], ...]
+    denominator: int
     pos_roots: tuple[Weight, ...]
+    root_columns: tuple[tuple[int, ...], ...]  # column(alpha) for alpha in pos_roots
     highest_root: Weight
     rho: Weight
     dual_coxeter: int
@@ -72,10 +80,16 @@ class RootSystem:
     def name(self) -> str:
         return f"{self.series}{self.rank}"
 
+    def column(self, y) -> tuple[int, ...]:
+        """gram * y, so that pair(x, y) is the dot product of x with it."""
+        return tuple(sum(gij * yj for gij, yj in zip(row, y)) for row in self.gram)
+
+    def pair(self, x, y) -> int:
+        """denominator * form(x, y), an integer on integral weights."""
+        return sum(xi * ci for xi, ci in zip(x, self.column(y)))
+
     def form(self, x, y) -> Fraction:
-        f = self.form_matrix
-        return sum((xi * sum(f[i][j] * yj for j, yj in enumerate(y) if yj)
-                    for i, xi in enumerate(x) if xi), Fraction(0))
+        return Fraction(self.pair(x, y), self.denominator)
 
     def is_dominant(self, mu) -> bool:
         return len(mu) == self.rank and all(isinstance(c, int) and c >= 0 for c in mu)
@@ -128,6 +142,8 @@ def _root_system(series: str, rank: int, cartan) -> RootSystem:
         for j in range(rank):
             if form[i][j] != form[j][i]:
                 raise InternalError("invariant form is not symmetric")
+    denominator = lcm(*(f.denominator for row in form for f in row))
+    gram = [[int(f * denominator) for f in row] for row in form]
 
     pos = _positive_roots(cartan)
     max_ht = max(pos.values())
@@ -136,22 +152,27 @@ def _root_system(series: str, rank: int, cartan) -> RootSystem:
         raise InternalError("highest root is not unique")
     theta = tops[0]
 
-    def frm(x, y):
-        return sum(x[i] * form[i][j] * y[j] for i in range(rank) for j in range(rank))
+    def column(y):
+        return tuple(sum(g * yj for g, yj in zip(row, y)) for row in gram)
 
-    if frm(theta, theta) != 2:
+    def pair(x, y):
+        return sum(xi * ci for xi, ci in zip(x, column(y)))
+
+    if pair(theta, theta) != 2 * denominator:
         raise InternalError("form(theta,theta) != 2; normalization broken")
     rho = (1,) * rank
-    hcheck = 1 + frm(rho, theta)
-    if hcheck.denominator != 1:
+    h_minus_one, rem = divmod(pair(rho, theta), denominator)
+    if rem:
         raise InternalError("dual Coxeter number is not an integer")
 
+    pos_roots = tuple(sorted(pos, key=lambda b: (pos[b], b)))
     return RootSystem(series=series, rank=rank,
                       cartan_matrix=tuple(tuple(r) for r in cartan),
-                      form_matrix=tuple(tuple(r) for r in form),
-                      pos_roots=tuple(sorted(pos, key=lambda b: (pos[b], b))),
+                      gram=tuple(tuple(r) for r in gram), denominator=denominator,
+                      pos_roots=pos_roots,
+                      root_columns=tuple(column(alpha) for alpha in pos_roots),
                       highest_root=theta, rho=rho,
-                      dual_coxeter=int(hcheck),
+                      dual_coxeter=1 + h_minus_one,
                       dim_g=rank + 2 * len(pos))
 
 
@@ -202,10 +223,10 @@ def casimir_eigenvalue(rs: RootSystem, mu) -> Fraction:
 def level_of(rs: RootSystem, mu) -> int:
     """Level mu(theta-coroot) = form(mu, theta) under the long-root normalization."""
     mu = _require_dominant(rs, mu)
-    lv = rs.form(mu, rs.highest_root)
-    if lv.denominator != 1:
+    lv, rem = divmod(rs.pair(mu, rs.highest_root), rs.denominator)
+    if rem:
         raise InternalError(f"level of {mu} is not an integer")
-    return int(lv)
+    return lv
 
 
 def _to_dominant(rs: RootSystem, x: tuple) -> tuple:
@@ -250,12 +271,14 @@ def dual_weight(rs: RootSystem, mu) -> Weight:
 def weyl_dim(rs: RootSystem, mu) -> int:
     mu = _require_dominant(rs, mu)
     shifted = tuple(m + r for m, r in zip(mu, rs.rho))
-    dim = Fraction(1)
-    for alpha in rs.pos_roots:
-        dim *= rs.form(shifted, alpha) / rs.form(rs.rho, alpha)
-    if dim.denominator != 1:
+    num = den = 1
+    for column in rs.root_columns:
+        num *= sum(s * c for s, c in zip(shifted, column))
+        den *= sum(r * c for r, c in zip(rs.rho, column))
+    dim, rem = divmod(num, den)
+    if rem:
         raise InternalError("Weyl dimension formula returned a non-integer")
-    return int(dim)
+    return dim
 
 
 @lru_cache(maxsize=None)
@@ -264,9 +287,9 @@ def _dominant_weights(rs: RootSystem, mu: Weight) -> dict[Weight, int]:
     n = rs.rank
     rho = rs.rho
     # enumerate c >= 0 with mu - sum c_i a_i dominant, using sum c_i d_i <= (mu, rho)
-    d = [rs.form(rs.simple_root(i), rho) for i in range(n)]
-    budget = rs.form(mu, rho)
-    bounds = [int(budget / d[i]) for i in range(n)]
+    d = [rs.pair(rs.simple_root(i), rho) for i in range(n)]
+    budget = rs.pair(mu, rho)
+    bounds = [budget // di for di in d]
     cand = []
     for c in product(*(range(b + 1) for b in bounds)):
         if sum(ci * di for ci, di in zip(c, d)) > budget:
@@ -277,8 +300,9 @@ def _dominant_weights(rs: RootSystem, mu: Weight) -> dict[Weight, int]:
             cand.append((sum(c), lam))
     cand.sort()
 
+    # Freudenthal's quotient with both sides scaled by the denominator of the form
     mults: dict[Weight, int] = {}
-    mu_norm = rs.form(tuple(m + 1 for m in mu), tuple(m + 1 for m in mu))
+    mu_norm = rs.pair(tuple(m + 1 for m in mu), tuple(m + 1 for m in mu))
 
     def mult_any(w) -> int:
         return mults.get(_to_dominant(rs, w), 0)
@@ -287,24 +311,25 @@ def _dominant_weights(rs: RootSystem, mu: Weight) -> dict[Weight, int]:
         if dist == 0:
             mults[lam] = 1
             continue
-        num = Fraction(0)
-        for alpha in rs.pos_roots:
+        num = 0
+        for alpha, column in zip(rs.pos_roots, rs.root_columns):
             k = 1
             while True:
                 w = tuple(l + k * a for l, a in zip(lam, alpha))
                 m = mult_any(w)
                 if m == 0:
                     break
-                num += 2 * m * rs.form(w, alpha)
+                num += 2 * m * sum(x * c for x, c in zip(w, column))
                 k += 1
-        den = mu_norm - rs.form(tuple(l + 1 for l in lam), tuple(l + 1 for l in lam))
+        den = mu_norm - rs.pair(tuple(l + 1 for l in lam), tuple(l + 1 for l in lam))
         if den <= 0:
             continue  # lam is not a weight of V_mu after all
-        m = num / den
-        if m.denominator != 1 or m < 0:
-            raise InternalError(f"Freudenthal multiplicity {m} at {lam} is not a nonneg integer")
+        m, rem = divmod(num, den)
+        if rem or m < 0:
+            raise InternalError(f"Freudenthal multiplicity {Fraction(num, den)} at {lam} "
+                                "is not a nonneg integer")
         if m:
-            mults[lam] = int(m)
+            mults[lam] = m
     return mults
 
 
@@ -344,7 +369,8 @@ def tensor_decompose(rs: RootSystem, mu, nu) -> dict[Weight, int]:
     dominant chamber with sign; wall hits contribute nothing.
     """
     mu, nu = _require_dominant(rs, mu), _require_dominant(rs, nu)
-    if weyl_dim(rs, mu) > weyl_dim(rs, nu):
+    dim_mu, dim_nu = weyl_dim(rs, mu), weyl_dim(rs, nu)
+    if dim_mu > dim_nu:
         mu, nu = nu, mu
     out: dict[Weight, int] = {}
     shifted_nu = tuple(c + 1 for c in nu)
@@ -358,7 +384,7 @@ def tensor_decompose(rs: RootSystem, mu, nu) -> dict[Weight, int]:
     if any(m < 0 for m in out.values()):
         raise InternalError("negative multiplicity in tensor decomposition")
     lhs = sum(m * weyl_dim(rs, lam) for lam, m in out.items())
-    if lhs != weyl_dim(rs, mu) * weyl_dim(rs, nu):
+    if lhs != dim_mu * dim_nu:
         raise InternalError("tensor decomposition dimension check failed")
     return out
 

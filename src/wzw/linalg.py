@@ -3,10 +3,11 @@
 Every dense exact matrix product, transpose, inverse and determinant in the
 package goes through here.  Two layers:
 
-* dense ``Fraction`` matrices (lists of lists): products, commutators,
-  transposes, inverse and determinant for the Cartan data and the sl2 irreps
-  (liealg), the KZ connection (kz) and the Shapovalov projections and gluing
-  tensor (fock);
+* dense exact matrices (lists of lists of ``int`` or ``Fraction``):
+  products, commutators, transposes, inverse and determinant for the Cartan
+  data and the sl2 irreps (liealg), the fusion matrices (fusion), the KZ
+  connection (kz) and the Shapovalov projections and gluing tensor (fock).
+  A product of integer matrices stays integer;
 * ``IntSpan``, an incremental fraction-free row-space accumulator over the
   integers, used for the large sparse rank computations in the oracle, kz and
   fock.  Rows are combined by integer cross-multiplication and renormalized
@@ -21,18 +22,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-Mat = list[list[Fraction]]
-
-
-def zeros(nrows: int, ncols: int) -> Mat:
-    return [[Fraction(0)] * ncols for _ in range(nrows)]
+Mat = list[list[int | Fraction]]
 
 
 def identity(n: int) -> Mat:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = Fraction(1)
-    return m
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def transpose(a: Mat) -> Mat:
@@ -43,7 +37,7 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     if not a or not b:
         return []
     n, k, m = len(a), len(b), len(b[0])
-    out = zeros(n, m)
+    out = [[0] * m for _ in range(n)]  # int zeros: integer factors give an integer product
     for i in range(n):
         ai = a[i]
         oi = out[i]

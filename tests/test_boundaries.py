@@ -1,6 +1,8 @@
 """Import boundaries between the package's modules, read from their source."""
 
 import ast
+import importlib
+import inspect
 from functools import lru_cache
 from pathlib import Path
 
@@ -109,3 +111,24 @@ def test_every_public_definition_is_used_by_package_code():
                     and not is_used(module, k, node.name)):
                 unused.append(f"{module}.{node.name}")
     assert unused == []
+
+
+# private names the per-layer benchmark (perfbench/tracer.py) wraps or reads:
+# a renamed one silently zeroes a work count or crashes a traced run
+TRACED_PARAMETERS = {
+    ("surface", "_state_sum"): ["surface", "graph"],
+    ("kz", "_transport_fixed"): ["system", "waypoints", "per_seg"],
+}
+TRACED_CACHES = [("fusion", "_truncated_product"), ("liealg", "_dominant_weights")]
+
+
+@pytest.mark.parametrize("module,name", sorted(TRACED_PARAMETERS))
+def test_traced_private_function_keeps_its_parameters(module, name):
+    fn = getattr(importlib.import_module(f"wzw.{module}"), name)
+    assert list(inspect.signature(fn).parameters) == TRACED_PARAMETERS[module, name]
+
+
+@pytest.mark.parametrize("module,name", TRACED_CACHES)
+def test_traced_cache_is_still_an_lru_cache(module, name):
+    info = getattr(importlib.import_module(f"wzw.{module}"), name).cache_info()
+    assert info.misses >= 0 and info.currsize >= 0

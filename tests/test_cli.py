@@ -185,6 +185,13 @@ GOLDEN = [
     (("dehn", "--algebra", "G2", "--level", "2", "--label", "0:1"), "6599d58c1ab5ec1b"),
     (("kz", "matrices", "--level", "5", "--labels", "3,3,3,3"), "a78d41bdc72902f3"),
     (("kz", "matrices", "--level", "5", "--labels", "2,2,2,2,2"), "ddd49dd6ce933b16"),
+    (("fusion-table", "--algebra", "A1", "--level", "12"), "829b652aeb71c157"),
+    (("fusion-table", "--algebra", "A2", "--level", "3"), "91b5245c67a9b0aa"),
+    (("dim", "--algebra", "A1", "--level", "5", "--genus", "3"), "efdb696e4de44811"),
+    (("dim", "--algebra", "A2", "--level", "3", "--genus", "1", "--labels",
+      "1:0,0:1,1:1,1:1"), "763256d6e3be8cc8"),
+    (("dim", "--algebra", "A1", "--level", "10", "--genus", "0", "--labels",
+      "1,2,3,4,5,6,1"), "35d1a10183de8d4e"),
     # mixed denominators: the oracle scales the points by their lcm 42
     (("oracle", "npoint", "--level", "3", "--labels", "1,2,3,2",
       "--points=1/2,-3/7,5,2/3"), "8e6ca64888ef0992"),

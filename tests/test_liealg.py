@@ -1,6 +1,7 @@
 """Root systems, Casimir eigenvalues, Freudenthal multiplicities, tensor products."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -77,6 +78,21 @@ def test_highest_root_has_length_two(series, rank):
     rs = root_data(series, rank)
     theta = rs.highest_root
     assert rs.form(theta, theta) == 2
+
+
+@pytest.mark.parametrize("name,denominator", [("A1", 2), ("A2", 3), ("B2", 2),
+                                              ("G2", 3), ("D4", 2)])
+def test_form_is_an_integer_gram_matrix_over_one_denominator(name, denominator):
+    rs = build_root_system(*parse_algebra(name))
+    assert rs.denominator == denominator
+    assert all(type(g) is int for row in rs.gram for g in row)
+    # the denominator is the least one: the entries share no factor with it
+    assert gcd(denominator, *(g for row in rs.gram for g in row)) == 1
+    for i in range(rs.rank):
+        omega = tuple(int(i == j) for j in range(rs.rank))
+        for j in range(rs.rank):
+            other = tuple(int(j == k) for k in range(rs.rank))
+            assert rs.form(omega, other) == Fraction(rs.gram[i][j], denominator)
 
 
 @pytest.mark.parametrize("series,rank", ALL_SMALL)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wzw.linalg import (IntSpan, commutator, det, identity, invert, is_zero, mat_mul,
-                        mat_sub, strides, transpose, zeros)
+                        mat_sub, strides, transpose)
 
 
 def fr(rows):
@@ -58,7 +58,7 @@ def test_rref_reports_pivots():
 def test_rank_small_cases():
     assert rank(fr([[1, 2], [2, 4]])) == 1
     assert rank(fr([[1, 0], [0, 1]])) == 2
-    assert rank(zeros(3, 5)) == 0
+    assert rank([[0] * 5 for _ in range(3)]) == 0
     assert rank(fr([[Fraction(1, 2), Fraction(1, 3)]])) == 1
 
 
@@ -67,6 +67,17 @@ def test_invert_roundtrip():
     inv = invert(a)
     assert mat_mul(a, inv) == identity(3)
     assert mat_mul(inv, a) == identity(3)
+
+
+def test_integer_product_stays_integer():
+    a, b = [[1, 2], [0, 3]], [[0, 1], [4, 0]]
+    prod = mat_mul(a, b)
+    assert prod == [[8, 1], [12, 0]]
+    assert all(type(x) is int for row in prod for x in row)
+    assert all(type(x) is int for row in identity(3) for x in row)
+    # rational factors still give the exact rational product
+    assert mat_mul(fr([[Fraction(1, 2), 0]]), [[2], [5]]) == [[1]]
+    assert mat_mul([[Fraction(1, 3)]], [[Fraction(3, 7)]]) == [[Fraction(1, 7)]]
 
 
 def test_invert_rejects_singular():

@@ -1,10 +1,13 @@
 """State-sum block dimensions, pants decompositions, Dehn twist eigenvalues."""
 
 import itertools
+import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from wzw import cli
 from wzw.errors import InputError
 from wzw.fusion import alphabet, fusion_coeff
 from wzw.liealg import build_root_system, dual_weight
@@ -89,6 +92,74 @@ def test_factorization_identity():
                                               (mu, dual_weight(A1, mu))))
                 for mu in alphabet(A1, level).labels)
             assert whole == glued
+
+
+# closed-surface A1 Verlinde numbers, genus 3 to 6
+VERLINDE_A1 = {
+    1: (8, 16, 32, 64),
+    2: (36, 136, 528, 2080),
+    3: (120, 800, 5600, 40000),
+    4: (329, 3611, 42065, 499955),
+    5: (784, 13328, 241472, 4456256),
+    6: (1680, 42048, 1122560, 30475264),
+}
+
+
+@pytest.mark.parametrize("level", sorted(VERLINDE_A1))
+def test_verlinde_numbers_higher_genus(level):
+    got = tuple(block_dimension(MarkedSurface(A1, level, g, ())) for g in range(3, 7))
+    assert got == VERLINDE_A1[level]
+
+
+def test_verlinde_number_level_twelve_genus_six():
+    assert block_dimension(MarkedSurface(A1, 12, 6, ())) == 113077051815
+
+
+def test_dim_is_linear_in_the_genus(capsys):
+    # a brute-force sum over 2^5998 labelings, or a vertex order that lets the
+    # frontier grow, would not finish
+    assert cli.main(["dim", "--algebra", "A1", "--level", "1", "--genus", "2000"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"dimension": 2 ** 2000}
+
+
+def _relabel(graph, perm):
+    """The same graph with vertex v renamed perm[v]."""
+    return TrivalentGraph(graph.num_vertices,
+                          tuple((perm[a], perm[b]) for a, b in graph.edges),
+                          tuple(perm[v] for v in graph.legs))
+
+
+# A2 labels are not self-dual, so an edge end that misses its dual shows
+@pytest.mark.parametrize("rs,level,graph,labels", [
+    (A1, 3, canonical_graph(3, 2), ((1,), (3,))),
+    (A2, 2, canonical_graph(3, 2), ((1, 0), (0, 1))),
+    (A2, 2, canonical_graph(1, 3), ((1, 0), (1, 0), (1, 0))),
+    (A1, 3, theta_graph(), ()),
+    (A2, 2, theta_graph(), ()),
+    (A1, 3, dumbbell_graph(), ()),
+    (A2, 2, dumbbell_graph(), ()),
+], ids=["canonical-3-2-A1", "canonical-3-2-A2", "canonical-1-3-A2", "theta-A1",
+        "theta-A2", "dumbbell-A1", "dumbbell-A2"])
+def test_vertex_order_independence(rs, level, graph, labels):
+    surf = MarkedSurface(rs, level, graph.betti, labels)
+    want = block_dimension(surf, graph)
+    assert want > 0
+    rng = random.Random(0)
+    perms = list(itertools.permutations(range(graph.num_vertices)))
+    for perm in rng.sample(perms, min(len(perms), 24)):
+        assert block_dimension(surf, _relabel(graph, perm)) == want, perm
+
+
+def test_canonical_graph_keeps_two_edges_open():
+    # in index order, the edges with one end visited and one still to come
+    for genus in range(7):
+        for n_legs in range(6):
+            if 2 * genus - 2 + n_legs < 1:
+                continue
+            graph = canonical_graph(genus, n_legs)
+            open_after = [sum(min(a, b) <= v < max(a, b) for a, b in graph.edges)
+                          for v in range(graph.num_vertices)]
+            assert max(open_after) <= 2, (genus, n_legs)
 
 
 def test_remove_trivial_labels():
