@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,7 +45,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-    elapsed: float = 0.0  # set by run_all
 
     def to_report(self) -> dict:
         # deliberately no timing: report bytes must not vary between runs
@@ -422,8 +420,5 @@ def run_all(names=None) -> list[CheckResult]:
         if name not in table:
             raise InputError(f"unknown check {name!r}; choose from "
                              + ", ".join(table))
-        t0 = time.perf_counter()
-        result = table[name]()
-        result.elapsed = time.perf_counter() - t0
-        results.append(result)
+        results.append(table[name]())
     return results

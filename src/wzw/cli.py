@@ -81,12 +81,17 @@ def _parse_points(text: str) -> tuple[Fraction, ...]:
                          "like 0,1,3/2,-2") from None
 
 
-def _emit(payload: dict, tsv_rows: list, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        for row in tsv_rows:
-            print("\t".join(str(x) for x in row))
+def _render(payload: dict, tsv_rows: list, fmt: str) -> str:
+    """The stdout text of a result, whole, so that a failure prints none of it."""
+    try:
+        if fmt == "json":
+            return json.dumps(payload, indent=2) + "\n"
+        return "".join("\t".join(str(x) for x in row) + "\n" for row in tsv_rows)
+    except ValueError as e:
+        if "integer string conversion" not in str(e):
+            raise
+        raise InputError(f"the answer has more than {sys.get_int_max_str_digits()} "
+                         "digits, Python's limit for printing an integer") from None
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +338,7 @@ def main(argv=None) -> int:
         parser.error("kz transport requires --path")
     try:
         payload, rows, code = args.handler(args)
+        text = _render(payload, rows, args.format)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -343,7 +349,7 @@ def main(argv=None) -> int:
         print(f"internal error: {e!r}", file=sys.stderr)
         return 2
     try:
-        _emit(payload, rows, args.format)
+        sys.stdout.write(text)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout, so the output is lost: exit 1, and point

@@ -135,10 +135,6 @@ class FusionRing:
     alphabet: FusionAlphabet
     table: tuple = field(compare=False)
 
-    def coeff(self, lam, mu, nu) -> int:
-        alph = self.alphabet
-        return self.table[alph.index(lam)][alph.index(mu)][alph.index(nu)]
-
     def nonzero_ordered(self):
         """All ordered index triples (i,j,k) with N != 0, sorted; for serialization."""
         return [((i, j, k), n) for i, plane in enumerate(self.table)

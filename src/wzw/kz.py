@@ -2,9 +2,11 @@
 
 The connection form is -1/(l+2) sum_{i<j} c^(ij) dlog(z_i - z_j) with c^(ij)
 the Casimir acting in tensor slots i and j.  The matrices are computed exactly
-on the classical coinvariant quotient (V_1 (x) ... (x) V_n)_g; when the level
-cuts the block down further (detected against the coinvariant oracle at a
-fixed base point), they are computed on the truncated quotient instead.
+on the block: V_1 (x) ... (x) V_n modulo one integer span, the images of the
+diagonal action of g and of T^{l+1} = (sum_i z_i E^(i))^{l+1} at a fixed
+integer base point.  The block basis is the span's non-pivot columns and
+``IntSpan.reduce`` is the quotient map; the classical coinvariant dimension
+is read off before the T^{l+1} rows go in.
 Parallel transport is the single floating-point boundary of the package.
 """
 
@@ -16,10 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import InputError, InternalError
+from .errors import InputError
 from .liealg import casimir_eigenvalue, root_system, sl2_irrep_matrices
 from .linalg import IntSpan, commutator, identity, is_zero, mat_sub, strides, transpose
-from .oracle import CoinvariantProblem, npoint_block_ranks
 
 
 class _TensorOps:
@@ -113,75 +114,36 @@ def kz_system(level: int, labels) -> KZSystem:
     ops = _TensorOps(labels)
     D = ops.D
 
+    # one integer span: the diagonal action of g, then the image of T^{l+1}
     span = IntSpan()
     for b in range(D):
         for gen in "EFH":
             row = ops.diagonal({b: 1}, gen)
             if row:
                 span.add(row)
-    free = sorted(set(range(D)) - set(span.pivots))
-    classical_dim = len(free)
-    free_pos = {f: a for a, f in enumerate(free)}
-
-    def to_quotient(vec: dict) -> list:
-        red = span.reduce(vec)
-        out = [Fraction(0)] * classical_dim
-        for c, v in red.items():
-            out[free_pos[c]] = v   # KeyError here would mean reduce() is broken
-        return out
-
-    # g acts as zero on the quotient; a nonzero residual is an echelon bug
-    for f in free:
-        for gen in "EFH":
-            if any(to_quotient(ops.diagonal({f: 1}, gen))):
-                raise InternalError("diagonal action does not vanish on the quotient")
-
+    classical_dim = D - span.rank
     base_point = tuple(n - 1 - 2 * i for i in range(n))
-    block_rank, oracle_classical = npoint_block_ranks(
-        CoinvariantProblem(level=level, labels=labels, points=base_point))
-    if oracle_classical != classical_dim:
-        raise InternalError(f"coinvariant dimension mismatch: {classical_dim} here, "
-                            f"{oracle_classical} from the oracle")
-
-    def connection(to_space, basis) -> dict:
-        """A_ij on a quotient; column k is the image of the basis vector basis[k]."""
-        return {(i, j): transpose([[Fraction(-v, 2 * (level + 2)) for v in
-                                    to_space(ops.casimir_pair({b: 1}, i, j))]
-                                   for b in basis])
-                for i, j in combinations(range(n), 2)}
-
-    if block_rank == classical_dim:
-        return KZSystem(level=level, labels=labels, dim=classical_dim,
-                        classical_dim=classical_dim,
-                        a_matrices=connection(to_quotient, free), truncated=False,
-                        base_point=base_point)
-
-    # level truncation: quotient further by the image of T^{l+1} at base_point
-    w_span = IntSpan()
     for b in range(D):
         w = ops.t_power({b: 1}, base_point, level + 1)
-        if not w:
-            continue
-        wq = to_quotient(w)
-        if any(wq):
-            w_span.add_fraction_row({a: v for a, v in enumerate(wq) if v})
-    if classical_dim - w_span.rank != block_rank:
-        raise InternalError(f"truncation rank {w_span.rank} inconsistent with "
-                            f"oracle block rank {block_rank}")
-    kept = sorted(set(range(classical_dim)) - set(w_span.pivots))
-    kept_pos = {k: a for a, k in enumerate(kept)}
+        if w:
+            span.add(w)
+    basis = [b for b in range(D) if b not in span.pivots]
+    basis_pos = {b: a for a, b in enumerate(basis)}
 
     def to_block(vec: dict) -> list:
-        red = w_span.reduce({a: v for a, v in enumerate(to_quotient(vec)) if v})
-        out = [Fraction(0)] * block_rank
-        for c, v in red.items():
-            out[kept_pos[c]] = v
+        out = [0] * len(basis)
+        for c, v in span.reduce(vec).items():
+            out[basis_pos[c]] = v   # KeyError here would mean reduce() is broken
         return out
 
-    return KZSystem(level=level, labels=labels, dim=block_rank,
-                    classical_dim=classical_dim,
-                    a_matrices=connection(to_block, [free[k] for k in kept]), truncated=True,
-                    base_point=base_point)
+    # column k of A_ij is the image of the basis vector basis[k]
+    a_matrices = {(i, j): transpose([[Fraction(-v, 2 * (level + 2)) for v in
+                                      to_block(ops.casimir_pair({b: 1}, i, j))]
+                                     for b in basis])
+                  for i, j in combinations(range(n), 2)}
+    return KZSystem(level=level, labels=labels, dim=len(basis),
+                    classical_dim=classical_dim, a_matrices=a_matrices,
+                    truncated=len(basis) < classical_dim, base_point=base_point)
 
 
 def flatness_check(system: KZSystem) -> bool:

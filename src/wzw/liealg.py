@@ -74,7 +74,6 @@ class RootSystem:
     highest_root: Weight
     rho: Weight
     dual_coxeter: int
-    dim_g: int
 
     @property
     def name(self) -> str:
@@ -172,8 +171,7 @@ def _root_system(series: str, rank: int, cartan) -> RootSystem:
                       pos_roots=pos_roots,
                       root_columns=tuple(column(alpha) for alpha in pos_roots),
                       highest_root=theta, rho=rho,
-                      dual_coxeter=1 + h_minus_one,
-                      dim_g=rank + 2 * len(pos))
+                      dual_coxeter=1 + h_minus_one)
 
 
 def _positive_roots(cartan: list[list[int]]) -> dict[Weight, int]:
@@ -395,7 +393,6 @@ def tensor_decompose(rs: RootSystem, mu, nu) -> dict[Weight, int]:
 @dataclass(frozen=True)
 class RepMatrices:
     """Weight-basis matrices of the (m+1)-dimensional sl2 irrep."""
-    m: int
     E: tuple[tuple[int, ...], ...]
     F: tuple[tuple[int, ...], ...]
     H: tuple[tuple[int, ...], ...]
@@ -424,4 +421,4 @@ def sl2_irrep_matrices(m: int) -> RepMatrices:
         raise InternalError(f"E^m vanished for m={m}")
     if not is_zero(mat_mul(power, E)):
         raise InternalError(f"E^(m+1) nonzero for m={m}")
-    return RepMatrices(m=m, E=E, F=F, H=H)
+    return RepMatrices(E=E, F=F, H=H)

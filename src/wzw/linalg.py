@@ -159,14 +159,6 @@ class IntSpan:
             row = _gcd_normalize(new) if new else new
         return False
 
-    def add_fraction_row(self, row: dict[int, Fraction]) -> bool:
-        """Clear denominators, then insert."""
-        lcm = 1
-        for v in row.values():
-            d = v.denominator
-            lcm = lcm // gcd(lcm, d) * d
-        return self.add({c: int(v * lcm) for c, v in row.items() if v})
-
     def reduce(self, row: dict[int, Fraction]) -> dict[int, Fraction]:
         """Residual of a rational row modulo the span (no pivot columns left).
 

@@ -1,10 +1,11 @@
 """Brute-force ground truth for A1 conformal-block ranks.
 
 Everything here is deliberately dumb: explicit spanning sets, exact
-fraction-free rank.  The fast paths elsewhere (fusion, surface, kz) are
-validated against these numbers, so this module must not share code or
-cleverness with them; it uses nothing of the package but errors and the
-linalg kernel.
+fraction-free rank.  The fast paths elsewhere are validated against these
+numbers: the fusion rules by the oracle-equivalence check, the KZ block and
+classical dimensions by the test suite.  So this module must not share code
+or cleverness with them, nor they with it; it uses nothing of the package
+but errors and the linalg kernel.
 
 The genus-zero characterization implemented verbatim: the three-point block
 is the biggest quotient of V_1 (x) V_2 (x) V_3 killed by the diagonal action

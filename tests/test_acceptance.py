@@ -13,6 +13,8 @@ arithmetically unsatisfiable, so the criterion is marked strict-xfail rather
 than weakened.
 """
 
+import time
+
 import pytest
 
 from wzw import checks
@@ -41,11 +43,12 @@ _params = [
 
 @pytest.mark.parametrize("name", _params)
 def test_criterion(name):
+    t0 = time.perf_counter()
     result = checks.run_all([name])[0]
+    elapsed = time.perf_counter() - t0
     print(f"{result.name}: {'pass' if result.passed else 'FAIL'} - {result.detail} "
-          f"({result.elapsed:.2f}s)")
+          f"({elapsed:.2f}s)")
     budget = BUDGETS[name]
     if budget is not None:
-        assert result.elapsed < budget, (
-            f"{name} took {result.elapsed:.2f}s, budget {budget}s")
+        assert elapsed < budget, f"{name} took {elapsed:.2f}s, budget {budget}s"
     assert result.passed, result.detail

@@ -248,6 +248,18 @@ def test_closed_stdout_exits_one_without_traceback():
     assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_answer_past_the_digit_limit_is_rejected_whole(fmt):
+    # the dimension 2^15000 has 4516 digits, past Python's default 4300-digit
+    # limit for converting an integer to text
+    out = run_cli("dim", "--algebra", "A1", "--level", "1", "--genus", "15000",
+                  "--format", fmt)
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr == ("error: the answer has more than 4300 digits, "
+                          "Python's limit for printing an integer\n")
+
+
 def test_verify_virasoro_report():
     out = run_cli("verify", "virasoro", "--kmax", "1", "--degree", "6")
     data = json.loads(out.stdout)

@@ -70,7 +70,7 @@ def test_label_outside_alphabet_rejected():
     with pytest.raises(InputError):
         fusion_coeff(alph, (3,), (0,), (1,))
     with pytest.raises(InputError):
-        fusion_table(alph).coeff((3,), (0,), (1,))
+        fusion_coeff(alph, (0,), (1,), (3,))
     with pytest.raises(InputError):
         alphabet(rs, -1)
 
@@ -81,7 +81,8 @@ def test_fusion_table_round_trip():
     ring = fusion_table(alph)
     assert isinstance(ring, FusionRing)
     for l, m, n in itertools.product(range(5), repeat=3):
-        assert ring.coeff((l,), (m,), (n,)) == fusion_coeff(alph, (l,), (m,), (n,))
+        i, j, k = (alph.index((a,)) for a in (l, m, n))
+        assert ring.table[i][j][k] == fusion_coeff(alph, (l,), (m,), (n,))
     triples = ring.nonzero_ordered()
     assert triples == sorted(triples)
     assert all(n > 0 for _, n in triples)
@@ -148,7 +149,8 @@ def test_level_one_rings_match_closed_forms(series, rank, names, rule):
     assert set(alph.labels) == set(names)
     ring = fusion_table(alph)
     for triple in itertools.product(alph.labels, repeat=3):
-        assert ring.coeff(*triple) == rule([names[w] for w in triple]), triple
+        i, j, k = map(alph.index, triple)
+        assert ring.table[i][j][k] == rule([names[w] for w in triple]), triple
 
 
 @pytest.mark.parametrize("series,rank,level", [

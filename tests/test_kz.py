@@ -7,9 +7,11 @@ from fractions import Fraction
 
 import pytest
 
+from wzw.checks import KZ_LEVEL_MAX, KZ_NMAX
 from wzw.errors import InputError
 from wzw.kz import flatness_check, kz_system, parallel_transport, residue_check
 from wzw.liealg import sl2_irrep_matrices
+from wzw.oracle import CoinvariantProblem, npoint_block_ranks
 
 F = Fraction
 
@@ -95,6 +97,18 @@ def test_truncated_dimensions(labels, level, dim, classical):
     assert system.dim == dim
     assert system.classical_dim == classical
     assert system.truncated == (dim != classical)
+
+
+def test_block_and_classical_dimensions_match_the_oracle():
+    # every kz-flatness system, and the two level-5 systems the benchmark times
+    cases = [(level, marks) for level in range(KZ_LEVEL_MAX + 1)
+             for n in range(2, KZ_NMAX + 1)
+             for marks in itertools.product(range(level + 1), repeat=n)]
+    cases += [(5, (3, 3, 3, 3)), (5, (2, 2, 2, 2, 2))]
+    for level, marks in cases:
+        system = kz_system(level, marks)
+        want = npoint_block_ranks(CoinvariantProblem(level, marks, system.base_point))
+        assert (system.dim, system.classical_dim) == want, (level, marks)
 
 
 def test_flatness_samples():

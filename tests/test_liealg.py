@@ -112,8 +112,8 @@ def test_dual_coxeter_numbers(series, rank, h):
 def test_rho_and_adjoint_dimension(series, rank):
     rs = root_data(series, rank)
     assert rs.rho == (1,) * rank
-    assert weyl_dim(rs, rs.highest_root) == rs.dim_g
-    assert rs.dim_g == rank + 2 * len(rs.pos_roots)
+    # the adjoint representation has dimension rank + 2 |positive roots|
+    assert weyl_dim(rs, rs.highest_root) == rank + 2 * len(rs.pos_roots)
 
 
 def test_weyl_dim_small():

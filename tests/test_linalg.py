@@ -171,11 +171,3 @@ def test_intspan_reduce_is_a_projection(rows, probe):
     assert span.reduce(residual) == residual
     # the residual touches no pivot column
     assert not set(residual) & set(span.pivots)
-
-
-def test_add_fraction_row_clears_denominators():
-    a, b = IntSpan(), IntSpan()
-    a.add_fraction_row({0: Fraction(1, 2), 1: Fraction(1, 3)})
-    b.add({0: 3, 1: 2})
-    assert a.rank == b.rank == 1
-    assert a.reduce({0: Fraction(3), 1: Fraction(2)}) == {}
