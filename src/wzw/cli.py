@@ -181,13 +181,13 @@ def _cmd_kz_matrices(args):
 
 def _load_path(filename: str, n: int) -> list:
     try:
-        with open(filename) as fh:
+        with open(filename, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as e:
         raise InputError(f"cannot read path file: {e}") from None
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:  # JSON text is UTF-8
         raise InputError(f"path file is not valid JSON: {e}") from None
-    pts = data.get("points")
+    pts = data.get("points") if isinstance(data, dict) else None
     if not isinstance(pts, list) or not pts:
         raise InputError('path file needs "points": a list of configurations')
     waypoints = []

@@ -3,6 +3,8 @@
 Every operator here is a GradedOperator: a band of integer matrices between
 graded pieces, one rational factor, and the degree window [0, hi] on which
 the truncation agrees with the true operator (degrees below 0 are empty).
+`InducedModule.operator` fills the currents, the identity and the Sugawara
+operators alike, column by column; a Sugawara block holds 4C(D_k).
 Compositions and sums take the smaller top edge, so identity checks on a
 window are honest statements about the untruncated algebra.
 
@@ -201,21 +203,27 @@ class InducedModule:
         self._memo[key] = out
         return out
 
-    def action(self, m: int, g: int) -> "GradedOperator":
-        """X_g t^m as a GradedOperator (shift m) on the truncation."""
+    def operator(self, shift: int, column: Callable) -> "GradedOperator":
+        """The shift-`shift` operator summing the (element, coefficient) pairs of column(elt)."""
         d = self.degree_bound
-        hi = min(d, d + m)
+        hi = min(d, d + shift)
         if hi < 0:
-            raise InputError(f"t^{m} has an empty valid window at degree bound {d}")
+            raise InputError(f"a shift-{shift} operator has an empty valid window "
+                             f"at degree bound {d}")
         blocks = {}
         for n in range(0, hi + 1):
-            blk = {}
-            rows = self.positions(n - m)
+            blk: dict = {}
+            rows = self.positions(n - shift)
             for col, elt in enumerate(self.basis(n)):
-                for melt, c in self.apply_gen(m, g, elt).items():
-                    blk[rows[melt], col] = c
-            blocks[n] = blk
-        return GradedOperator(space=self, shift=m, hi=hi, blocks=blocks)
+                for melt, c in column(elt):
+                    key = rows[melt], col
+                    blk[key] = blk.get(key, 0) + c
+            blocks[n] = {k: v for k, v in blk.items() if v}
+        return GradedOperator(space=self, shift=shift, hi=hi, blocks=blocks)
+
+    def action(self, m: int, g: int) -> "GradedOperator":
+        """X_g t^m as a GradedOperator (shift m) on the truncation."""
+        return self.operator(m, lambda elt: self.apply_gen(m, g, elt).items())
 
     def __eq__(self, other):
         return (isinstance(other, InducedModule)
@@ -329,11 +337,6 @@ class GradedOperator:
         """The nonzero rational entries {(row, col): value} of degree n's block."""
         return {key: self.factor * v for key, v in self.block(n).items()}
 
-    @staticmethod
-    def identity(space, hi: int) -> "GradedOperator":
-        blocks = {n: {(i, i): 1 for i in range(space.dim(n))} for n in range(hi + 1)}
-        return GradedOperator(space, 0, hi, blocks)
-
 
 def commutator(a: GradedOperator, b: GradedOperator) -> GradedOperator:
     return a.compose(b).sub(b.compose(a))
@@ -346,31 +349,23 @@ def commutator(a: GradedOperator, b: GradedOperator) -> GradedOperator:
 def sugawara_op(k: int, module: InducedModule) -> GradedOperator:
     """T(D_k) = -C(D_k)/(level + h) on the induced-module truncation.
 
-    Unordered pairs i + j = k with i < j contribute once with the t^j factor
-    applied first; i = j contributes with coefficient 1/2.
+    The blocks hold the integer 4 C(D_k): each pair i + j = k, i <= j, applies
+    t^j first and weighs 2 if i < j, 1 if i = j; each dual-basis term weighs 2c.
     """
     d = module.degree_bound
-    hi = min(d, d + k)
-    if hi < 0:
-        raise InputError(f"|k|={abs(k)} exceeds degree bound {d}: empty valid window")
-    algebra = module.algebra
+    apply_gen = module.apply_gen
+    terms = [(k - j, j, (2 if k - j < j else 1) * int(2 * c), ga, gb)
+             for j in range(-(-k // 2), d + 1) if abs(k - j) <= d
+             for ga, gb, c in module.algebra.dual_pairs]
 
-    def factor_pair(i, j):
-        term = None
-        for ga, gb, c in algebra.dual_pairs:
-            piece = module.action(i, ga).compose(module.action(j, gb))
-            if c != 1:
-                piece = piece.scale(c)
-            term = piece if term is None else term.add(piece)
-        return term
+    def column(elt):
+        for i, j, w, ga, gb in terms:
+            for melt, c1 in apply_gen(j, gb, elt).items():
+                for melt2, c2 in apply_gen(i, ga, melt).items():
+                    yield melt2, w * c1 * c2
 
-    total = GradedOperator(module, k, hi, {})
-    for j in range(k // 2 + 1, d + 1):
-        if abs(k - j) <= d:
-            total = total.add(factor_pair(k - j, j))
-    if k % 2 == 0 and abs(k // 2) <= d:
-        total = total.add(factor_pair(k // 2, k // 2).scale(Fraction(1, 2)))
-    return total.scale(Fraction(-1, module.level + algebra.dual_coxeter))
+    return module.operator(k, column).scale(
+        Fraction(-1, 4 * (module.level + module.algebra.dual_coxeter)))
 
 
 def check_sugawara_bracket(k: int, l: int, module: InducedModule) -> GradedOperator:
@@ -391,7 +386,7 @@ def check_sugawara_bracket(k: int, l: int, module: InducedModule) -> GradedOpera
                           module.level + algebra.dual_coxeter)
         central = Fraction(k ** 3 - k, 12) * charge
         if central:
-            res = res.sub(GradedOperator.identity(module, d).scale(central))
+            res = res.sub(module.operator(0, lambda elt: ((elt, 1),)).scale(central))
     return res
 
 

@@ -4,11 +4,12 @@ The alphabet P_l is the finite set of dominant weights of level <= l, sorted,
 and a label is its position in that tuple: every table below is indexed by
 positions, and weights are translated once, at the boundary, by `index`.
 `dual` is the permutation sending a label to its dual.  Fusion coefficients
-are computed by the Kac-Walton rule: take the classical tensor decomposition,
-shift by rho, and fold back into the level-(l + h) alcove with the affine
-reflection x -> x - ((x,theta) - (l+h)) theta, alternating signs and dropping
-anything that lands on a wall.  Rows N(i, j, .) are filled lazily, on first
-use, so a point lookup pays for one product and not for the whole ring.
+are computed by the Kac-Walton rule, with no classical decomposition: each
+weight of the smaller factor plus the other highest weight plus rho is folded
+into the level-(l + h) alcove in one signed walk of simple reflections and
+x -> x - ((x,theta) - (l+h)) theta, dropping anything that lands on a wall.
+Rows N(i, j, .) are filled lazily, on first use, so a point lookup pays for
+one product and not for the whole ring.
 `fusion_table` fills every row and verifies each ring axiom once (full
 symmetry, unit and duality, associativity) before returning; a violated
 axiom is an implementation bug, not user error.
@@ -22,7 +23,7 @@ from itertools import combinations, product
 
 from .errors import InputError, InternalError
 from .liealg import (RootSystem, Weight, dominant_with_sign, dual_weight,
-                     level_of, tensor_decompose)
+                     level_of, weight_multiplicities, weyl_dim)
 from .linalg import mat_mul
 
 
@@ -85,22 +86,24 @@ def alphabet(rs: RootSystem, level: int) -> FusionAlphabet:
 
 @lru_cache(maxsize=None)
 def _truncated_product(rs: RootSystem, level: int, lam: Weight, mu: Weight) -> dict[Weight, int]:
-    """Kac-Walton: fold the classical decomposition into the level alcove."""
+    """Kac-Walton: fold the weights of the smaller factor, shifted by the other + rho."""
+    small, big = (lam, mu) if weyl_dim(rs, lam) <= weyl_dim(rs, mu) else (mu, lam)
     # heights are pair(x, theta) = D * (x, theta), compared against (l + h) * D
     denominator = rs.denominator
     wall = (level + rs.dual_coxeter) * denominator
     theta = rs.highest_root
     theta_column = rs.column(theta)
+    shifted = tuple(c + 1 for c in big)
     out: dict[Weight, int] = {}
-    for nu, m in tensor_decompose(rs, lam, mu).items():
-        x = tuple(c + 1 for c in nu)
+    for eta, m in weight_multiplicities(rs, small).items():
+        x = tuple(e + s for e, s in zip(eta, shifted))
         sign = 1
         fuel = 10000
         while True:
             x, s = dominant_with_sign(rs, x)
             sign *= s
-            if sign == 0:
-                break
+            if 0 in x:
+                break  # finite wall
             height = sum(c * t for c, t in zip(x, theta_column))
             if height < wall:
                 key = tuple(c - 1 for c in x)

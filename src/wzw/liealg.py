@@ -6,6 +6,8 @@ Conventions used throughout the package:
   i-th coordinate of x is the pairing with the i-th simple coroot;
 * cartan[i][j] = 2(a_i, a_j)/(a_i, a_i) for simple roots a_i, so the
   coordinate vector of a_j is column j of the Cartan matrix;
+* `dominant_with_sign` is the one chamber walk (duals, Freudenthal and the
+  Kac-Walton fold); on rho-shifted weights a zero coordinate is a wall;
 * the invariant form is normalized so long roots have squared length 2
   (equivalently, the dual form on the algebra gives c(theta, theta) = 2);
   it is stored as the integer Gram matrix `gram` = D * form on fundamental
@@ -227,29 +229,15 @@ def level_of(rs: RootSystem, mu) -> int:
     return lv
 
 
-def _to_dominant(rs: RootSystem, x: tuple) -> tuple:
-    fuel = 100000
-    while True:
-        i = next((k for k, c in enumerate(x) if c < 0), None)
-        if i is None:
-            return x
-        x = rs.reflect(x, i)
-        fuel -= 1
-        if fuel == 0:
-            raise InternalError("dominant-chamber reduction did not terminate")
-
-
 def dominant_with_sign(rs: RootSystem, x: tuple) -> tuple[tuple, int]:
-    """Weyl-reflect x into the closed dominant chamber, tracking the sign.
+    """Weyl-reflect x to its dominant representative, with sign (-1)^reflections.
 
-    Returns (x_dominant, det) with det = 0 when x lies on a chamber wall
-    (some coordinate hits 0), the standard rho-shifted reduction step.
+    On rho-shifted coordinates, x lies on a chamber wall exactly when the
+    representative has a zero coordinate.
     """
     sign = 1
     fuel = 100000
     while True:
-        if any(c == 0 for c in x):
-            return x, 0
         i = next((k for k, c in enumerate(x) if c < 0), None)
         if i is None:
             return x, sign
@@ -257,13 +245,13 @@ def dominant_with_sign(rs: RootSystem, x: tuple) -> tuple[tuple, int]:
         sign = -sign
         fuel -= 1
         if fuel == 0:
-            raise InternalError("signed chamber reduction did not terminate")
+            raise InternalError("dominant-chamber reduction did not terminate")
 
 
 def dual_weight(rs: RootSystem, mu) -> Weight:
     """mu* = -w_0(mu): the highest weight of the contragredient representation."""
     mu = _require_dominant(rs, mu)
-    return _to_dominant(rs, tuple(-c for c in mu))
+    return dominant_with_sign(rs, tuple(-c for c in mu))[0]
 
 
 def weyl_dim(rs: RootSystem, mu) -> int:
@@ -303,7 +291,7 @@ def _dominant_weights(rs: RootSystem, mu: Weight) -> dict[Weight, int]:
     mu_norm = rs.pair(tuple(m + 1 for m in mu), tuple(m + 1 for m in mu))
 
     def mult_any(w) -> int:
-        return mults.get(_to_dominant(rs, w), 0)
+        return mults.get(dominant_with_sign(rs, w)[0], 0)
 
     for dist, lam in cand:
         if dist == 0:
@@ -357,33 +345,6 @@ def weight_multiplicities(rs: RootSystem, mu) -> dict[tuple, int]:
     total = sum(out.values())
     if total != weyl_dim(rs, mu):
         raise InternalError(f"weight diagram of {mu} sums to {total}, not weyl_dim")
-    return out
-
-
-def tensor_decompose(rs: RootSystem, mu, nu) -> dict[Weight, int]:
-    """Multiplicities of each V_lam inside V_mu (x) V_nu (Racah-Speiser).
-
-    Adds nu + rho to every weight of the smaller factor and reflects to the
-    dominant chamber with sign; wall hits contribute nothing.
-    """
-    mu, nu = _require_dominant(rs, mu), _require_dominant(rs, nu)
-    dim_mu, dim_nu = weyl_dim(rs, mu), weyl_dim(rs, nu)
-    if dim_mu > dim_nu:
-        mu, nu = nu, mu
-    out: dict[Weight, int] = {}
-    shifted_nu = tuple(c + 1 for c in nu)
-    for eta, m in weight_multiplicities(rs, mu).items():
-        x = tuple(e + s for e, s in zip(eta, shifted_nu))
-        dom, sign = dominant_with_sign(rs, x)
-        if sign:
-            lam = tuple(c - 1 for c in dom)
-            out[lam] = out.get(lam, 0) + sign * m
-    out = {lam: m for lam, m in out.items() if m}
-    if any(m < 0 for m in out.values()):
-        raise InternalError("negative multiplicity in tensor decomposition")
-    lhs = sum(m * weyl_dim(rs, lam) for lam, m in out.items())
-    if lhs != dim_mu * dim_nu:
-        raise InternalError("tensor decomposition dimension check failed")
     return out
 
 

@@ -134,18 +134,24 @@ def test_every_public_definition_is_used_by_package_code():
     assert unused == []
 
 
-# private names the per-layer benchmark (perfbench/tracer.py) wraps or reads:
-# a renamed one silently zeroes a work count or crashes a traced run
+# names the per-layer benchmark (perfbench/tracer.py) wraps or reads: a
+# renamed one silently zeroes a work count or crashes a traced run
 TRACED_PARAMETERS = {
     ("surface", "_state_sum"): ["surface", "graph"],
     ("kz", "_transport_fixed"): ["system", "waypoints", "per_seg"],
+    ("fock", "GradedOperator.compose"): ["self", "other"],
+    ("linalg", "IntSpan.add"): ["self", "row"],
+    ("oracle", "npoint_block_ranks"): ["problem"],
+    ("oracle", "three_point_ranks"): ["level", "m1", "m2", "m3"],
 }
 TRACED_CACHES = [("fusion", "_truncated_product"), ("liealg", "_dominant_weights")]
 
 
 @pytest.mark.parametrize("module,name", sorted(TRACED_PARAMETERS))
-def test_traced_private_function_keeps_its_parameters(module, name):
-    fn = getattr(importlib.import_module(f"wzw.{module}"), name)
+def test_traced_function_keeps_its_parameters(module, name):
+    fn = importlib.import_module(f"wzw.{module}")
+    for attr in name.split("."):
+        fn = getattr(fn, attr)
     assert list(inspect.signature(fn).parameters) == TRACED_PARAMETERS[module, name]
 
 
@@ -153,3 +159,15 @@ def test_traced_private_function_keeps_its_parameters(module, name):
 def test_traced_cache_is_still_an_lru_cache(module, name):
     info = getattr(importlib.import_module(f"wzw.{module}"), name).cache_info()
     assert info.misses >= 0 and info.currsize >= 0
+
+
+def test_traced_fock_fields_still_exist():
+    # the tracer keeps every module fock.induced_module returns, counts its
+    # _memo, and sums the block sizes of each composition
+    fock = importlib.import_module("wzw.fock")
+    module = fock.induced_module(1, 0, 3)
+    op = module.action(-1, 0)
+    blocks = op.compose(op).blocks
+    assert isinstance(module._memo, dict) and module._memo
+    assert all(isinstance(blk, dict) for blk in blocks.values())
+    assert sum(len(blk) for blk in blocks.values()) > 0

@@ -106,6 +106,17 @@ def test_kz_transport_bad_path_file(tmp_path):
     assert "points" in out.stderr
 
 
+@pytest.mark.parametrize("content", [b"[1, 2]", b"\xff\xfe"], ids=["array", "not-utf8"])
+def test_kz_transport_malformed_path_file_is_an_input_error(tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    out = run_cli("kz", "transport", "--level", "2", "--labels", "1,1,2",
+                  "--path", str(path))
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr.startswith("error:") and out.stderr.count("\n") == 1
+
+
 def _transport_with_first_point(tmp_path, first):
     path = tmp_path / "path.json"
     path.write_text(f'{{"points": [[{first}, [0, 0], [-2, 0]], '

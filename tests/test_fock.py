@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from wzw.errors import InputError, InternalError
-from wzw.fock import (HEISENBERG, GramPairing, check_current_bracket,
+from wzw.fock import (HEISENBERG, GradedOperator, GramPairing, check_current_bracket,
                       check_sugawara_bracket, commutator, fock_space, gluing_tensor,
                       induced_module, integrable_quotient, sugawara_op)
 
@@ -185,6 +185,42 @@ def test_scaled_composition_scales_max_abs():
     assert base != 0
     for c, d in [(Fraction(1, 2), 3), (-2, Fraction(-5, 7)), (Fraction(3, 4), Fraction(4, 3))]:
         assert a.scale(c).compose(b.scale(d)).max_abs() == abs(c * d) * base
+
+
+def reference_sugawara(k, module):
+    """T(D_k) = -C(D_k)/(l + h) operator by operator: each normal-ordered pair
+    as two actions, a composition, a scale and a sum, with i = j halved."""
+    d = module.degree_bound
+    algebra = module.algebra
+
+    def factor_pair(i, j):
+        term = None
+        for ga, gb, c in algebra.dual_pairs:
+            piece = module.action(i, ga).compose(module.action(j, gb)).scale(c)
+            term = piece if term is None else term.add(piece)
+        return term
+
+    total = GradedOperator(module, k, min(d, d + k), {})
+    for j in range(k // 2 + 1, d + 1):
+        if abs(k - j) <= d:
+            total = total.add(factor_pair(k - j, j))
+    if k % 2 == 0 and abs(k // 2) <= d:
+        total = total.add(factor_pair(k // 2, k // 2).scale(Fraction(1, 2)))
+    return total.scale(Fraction(-1, module.level + algebra.dual_coxeter))
+
+
+SL2_LABELS = [(level, mu) for level in range(3) for mu in range(level + 1)]
+
+
+@pytest.mark.parametrize("module", [induced_module(level, mu, 6) for level, mu in SL2_LABELS]
+                         + [fock_space(8)],
+                         ids=[f"sl2-l{level}-mu{mu}" for level, mu in SL2_LABELS] + ["fock"])
+def test_sugawara_matches_the_operator_by_operator_construction(module):
+    for k in range(-3, 4):
+        got, want = sugawara_op(k, module), reference_sugawara(k, module)
+        assert (got.shift, got.hi) == (want.shift, want.hi)
+        for n in range(want.hi + 1):
+            assert got.entries(n) == want.entries(n), (k, n)
 
 
 def test_sugawara_l0_eigenvalue():

@@ -1,5 +1,6 @@
 """KZ connection matrices, Kohno flatness, residue sums, and numeric parallel transport."""
 
+import cmath
 import dataclasses
 import itertools
 import math
@@ -9,8 +10,9 @@ import pytest
 
 from wzw.checks import KZ_LEVEL_MAX, KZ_NMAX
 from wzw.errors import InputError
+from wzw.fusion import alphabet, fusion_coeff
 from wzw.kz import flatness_check, kz_system, parallel_transport, residue_check
-from wzw.liealg import sl2_irrep_matrices
+from wzw.liealg import build_root_system, casimir_eigenvalue, sl2_irrep_matrices
 from wzw.oracle import CoinvariantProblem, npoint_block_ranks
 
 F = Fraction
@@ -203,3 +205,50 @@ def test_all_two_point_systems_are_scalars():
                 mat = system.a_matrices[(0, 1)]
                 assert len(mat) == system.dim
                 assert flatness_check(system)
+
+
+def _det(m):
+    """Leibniz determinant of a small square matrix."""
+    total = 0j
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(m)), 2))
+        total += (-1) ** inversions * math.prod(m[i][perm[i]] for i in range(len(m)))
+    return total
+
+
+def _fusion_holonomy_det(level, labels):
+    """det of the level-l block monodromy of z_0 once around z_1 alone.
+
+    On the channel nu of V_a (x) V_b it acts by exp(2 pi i (h_a + h_b - h_nu)),
+    h = Casimir / 2(l + 2), once for each block N(a, b, nu) N(nu, c, d).
+    """
+    rs = build_root_system("A", 1)
+    alph = alphabet(rs, level)
+    a, b, c, d = labels
+
+    def h(m):
+        return casimir_eigenvalue(rs, (m,)) / (2 * (level + 2))
+
+    phase = sum(fusion_coeff(alph, (a,), (b,), (nu,)) * fusion_coeff(alph, (nu,), (c,), (d,))
+                * (h(a) + h(b) - h(nu)) for nu in range(level + 1))
+    return cmath.exp(2j * math.pi * phase)
+
+
+HOLONOMY_SYSTEMS = [(1, (1, 1, 1, 1)), (2, (2, 2, 2, 2)), (2, (1, 1, 2, 2)), (3, (2, 2, 2, 2))]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a truncated system is the quotient at one base "
+                   "point, so its transport is not the block holonomy")
+@pytest.mark.parametrize("level,labels", HOLONOMY_SYSTEMS,
+                         ids=[f"l{level}-{','.join(map(str, labels))}"
+                              for level, labels in HOLONOMY_SYSTEMS])
+def test_truncated_holonomy_matches_the_fusion_rules(level, labels):
+    # z_0 circles z_1 alone, counterclockwise
+    loop = [(3, 1, -1, -3), (1 + 2j, 1, -1, -3), (-0.2, 1, -1, -3), (1 - 2j, 1, -1, -3),
+            (3, 1, -1, -3)]
+    system = kz_system(level, labels)
+    assert system.truncated
+    res = parallel_transport(system, loop, steps=4000)
+    assert res.converged
+    assert abs(_det(res.matrix) - _fusion_holonomy_det(level, labels)) < 1e-6

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from wzw import cli
 from wzw.errors import InputError
+from wzw.fusion import _truncated_product
 from wzw.liealg import (_root_system, build_root_system, casimir_eigenvalue,
                         dominant_with_sign, dual_weight, level_of, parse_algebra,
-                        sl2_irrep_matrices, tensor_decompose, weight_multiplicities,
-                        weyl_dim)
+                        sl2_irrep_matrices, weight_multiplicities, weyl_dim)
 
 ALL_SMALL = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3),
              ("D", 4), ("G", 2), ("F", 4), ("E", 6)]
@@ -144,6 +144,12 @@ def test_weight_multiplicities_sum_to_weyl_dim(series, rank):
         assert sum(weight_multiplicities(rs, mu).values()) == weyl_dim(rs, mu)
 
 
+def tensor_decompose(rs, mu, nu):
+    """The classical V_mu (x) V_nu: Kac-Walton at level(mu) + level(nu), where
+    every summand has level at most l, so none reaches the affine wall."""
+    return _truncated_product(rs, level_of(rs, mu) + level_of(rs, nu), mu, nu)
+
+
 def test_tensor_decompose_clebsch_gordan():
     a1 = build_root_system("A", 1)
     assert tensor_decompose(a1, (2,), (3,)) == {(5,): 1, (3,): 1, (1,): 1}
@@ -157,6 +163,17 @@ def test_tensor_decompose_a2():
     adj = tensor_decompose(a2, (1, 1), (1, 1))
     assert adj[(1, 1)] == 2  # 8x8 contains the adjoint twice
     assert sum(n * weyl_dim(a2, w) for w, n in adj.items()) == 64
+
+
+@pytest.mark.parametrize("series,rank,mu,expected", [
+    ("B", 2, (0, 1), {(0, 0): 1, (1, 0): 1, (0, 2): 1}),  # 4 x 4 = 1 + 5 + 10
+    ("G", 2, (0, 1), {(0, 0): 1, (0, 1): 1, (1, 0): 1, (0, 2): 1}),  # 7 x 7 = 1 + 7 + 14 + 27
+    ("D", 4, (1, 0, 0, 0), {(0, 0, 0, 0): 1, (0, 1, 0, 0): 1, (2, 0, 0, 0): 1}),  # 8v x 8v
+])
+def test_tensor_decompose_beyond_type_a(series, rank, mu, expected):
+    rs = build_root_system(series, rank)
+    assert tensor_decompose(rs, mu, mu) == expected
+    assert sum(n * weyl_dim(rs, w) for w, n in expected.items()) == weyl_dim(rs, mu) ** 2
 
 
 small_weight = st.tuples(st.integers(min_value=0, max_value=3),
@@ -204,15 +221,17 @@ def test_casimir_values():
 
 
 def test_dominant_with_sign():
-    # operates on rho-shifted coordinates: zero coordinate = chamber wall
+    # the dominant representative with sign (-1)^reflections; on rho-shifted
+    # coordinates a chamber wall is a zero coordinate of the representative
     a1 = build_root_system("A", 1)
     assert dominant_with_sign(a1, (3,)) == ((3,), 1)
-    assert dominant_with_sign(a1, (0,))[1] == 0
+    assert dominant_with_sign(a1, (0,)) == ((0,), 1)
     assert dominant_with_sign(a1, (-2,)) == ((2,), -1)
     a2 = build_root_system("A", 2)
-    w, sign = dominant_with_sign(a2, (-1, -1))
-    assert a2.is_dominant(w)
-    assert sign in (-1, 1)
+    assert dominant_with_sign(a2, (-1, -1)) == ((1, 1), -1)  # w_0 has length 3
+    assert dominant_with_sign(a2, (2, -1)) == ((1, 1), -1)
+    w, sign = dominant_with_sign(a2, (1, -1))  # orthogonal to theta: on a wall
+    assert 0 in w and a2.is_dominant(w)
 
 
 def test_nondominant_weight_rejected():
