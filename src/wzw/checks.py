@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import InputError
@@ -40,11 +40,8 @@ TRANSPORT_STEPS, TRANSPORT_TOLERANCE = 10000, 1e-6
 GLUING_DEGREE, GLUING_DMAX = 6, 4
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(namedtuple("CheckResult", "name passed detail")):
+    __slots__ = ()
 
     def to_report(self) -> dict:
         # deliberately no timing: report bytes must not vary between runs

@@ -33,11 +33,9 @@ with factors sorted descending; straightening is exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Callable
 
 from .errors import InputError, InternalError
 from .liealg import sl2_irrep_matrices
@@ -47,7 +45,6 @@ from .linalg import IntSpan, invert, mat_mul, transpose
 # ---------------------------------------------------------------------------
 # current algebras and their induced modules
 
-@dataclass(frozen=True, eq=False)
 class CurrentAlgebra:
     """A Lie algebra with an invariant form, as the Sugawara construction reads it.
 
@@ -56,16 +53,24 @@ class CurrentAlgebra:
     invariant form c(X_a, X_b), `dual_pairs` lists the (a, b, coefficient)
     terms of the Casimir sum over dual bases, `dual_coxeter` is h, and
     `irrep(mu)` returns the generator matrices on the (mu+1)-dim irrep
-    labelled mu, whose basis vector v_i has weight mu - 2i.
+    labelled mu, whose basis vector v_i has weight mu - 2i.  Read-only, and
+    equal only to itself, so it keys the `induced_module` cache by identity.
     """
 
-    gen_names: tuple
-    gen_weight: tuple
-    bracket: dict
-    form: dict
-    dual_pairs: tuple
-    dual_coxeter: int
-    irrep: Callable
+    __slots__ = ("gen_names", "gen_weight", "bracket", "form", "dual_pairs",
+                 "dual_coxeter", "irrep")
+
+    def __init__(self, gen_names: tuple, gen_weight: tuple, bracket: dict, form: dict,
+                 dual_pairs: tuple, dual_coxeter: int, irrep):
+        values = (gen_names, gen_weight, bracket, form, dual_pairs, dual_coxeter, irrep)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _sl2_irrep(mu: int) -> tuple:
@@ -261,7 +266,6 @@ def _mm(a: dict, b: dict) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-@dataclass(eq=False)
 class GradedOperator:
     """Band matrix between graded pieces, valid on input degrees [0, hi].
 
@@ -272,11 +276,13 @@ class GradedOperator:
     (`entries`, `max_abs`, `IntegrableQuotient.descend`).
     """
 
-    space: object
-    shift: int
-    hi: int
-    blocks: dict
-    factor: Fraction = Fraction(1)
+    def __init__(self, space, shift: int, hi: int, blocks: dict,
+                 factor: Fraction = Fraction(1)):
+        self.space = space
+        self.shift = shift
+        self.hi = hi
+        self.blocks = blocks
+        self.factor = factor
 
     @property
     def window(self) -> tuple[int, int]:
@@ -462,7 +468,6 @@ def _pivot_columns(rows) -> list[int]:
     return sorted(span.pivots)
 
 
-@dataclass(eq=False)
 class IntegrableQuotient:
     """Degreewise quotient of an induced module by the radical of b.
 
@@ -475,11 +480,13 @@ class IntegrableQuotient:
     kept bases.
     """
 
-    module: InducedModule
-    pairing: "GramPairing"
-    kept: dict
-    proj: dict
-    gram_inverse: dict
+    def __init__(self, module: InducedModule, pairing: GramPairing, kept: dict,
+                 proj: dict, gram_inverse: dict):
+        self.module = module
+        self.pairing = pairing
+        self.kept = kept
+        self.proj = proj
+        self.gram_inverse = gram_inverse
 
     def dim(self, n: int) -> int:
         return len(self.kept.get(n, ()))
@@ -530,17 +537,18 @@ def integrable_quotient(module: InducedModule) -> IntegrableQuotient:
                               gram_inverse=gram_inverse)
 
 
-@dataclass(eq=False)
 class GluingTensorSeries:
     """epsilon_d = transpose inverse of the quotient Gram blocks of b_mu.
 
-    residuals holds (n, generator name, dp, max-abs entry) for every checked
-    instance of the recursion; gluing_tensor raises unless each one is zero.
+    terms[d] is the matrix of epsilon_d over the kept bases; residuals holds
+    (n, generator name, dp, max-abs entry) for every checked instance of the
+    recursion; gluing_tensor raises unless each one is zero.
     """
 
-    quotient: IntegrableQuotient
-    terms: list  # terms[d] = matrix of epsilon_d over the kept bases
-    residuals: list
+    def __init__(self, quotient: IntegrableQuotient, terms: list, residuals: list):
+        self.quotient = quotient
+        self.terms = terms
+        self.residuals = residuals
 
 
 def gluing_tensor(level: int, mu: int, d: int) -> GluingTensorSeries:

@@ -17,7 +17,7 @@ axiom is an implementation bug, not user error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -27,16 +27,27 @@ from .liealg import (RootSystem, Weight, dominant_with_sign, dual_weight,
 from .linalg import mat_mul
 
 
-@dataclass(frozen=True)
 class FusionAlphabet:
-    """The labels of one (algebra, level); `dual[i]` is the position of labels[i]*."""
+    """The labels of one (algebra, level); `dual[i]` is the position of labels[i]*.
 
-    rs: RootSystem
-    level: int
-    labels: tuple[Weight, ...]
-    dual: tuple[int, ...]
-    _pos: dict = field(compare=False, repr=False)
-    _rows: dict = field(default_factory=dict, compare=False, repr=False)
+    Read-only.  `_pos` maps a label to its position and `_rows` memoizes the
+    fusion rows.  `alphabet` builds one instance per (rs, level), so equality
+    is identity.
+    """
+
+    __slots__ = ("rs", "level", "labels", "dual", "_pos", "_rows")
+
+    def __init__(self, rs: RootSystem, level: int, labels: tuple[Weight, ...],
+                 dual: tuple[int, ...], _pos: dict, _rows: dict | None = None):
+        values = (rs, level, labels, dual, _pos, {} if _rows is None else _rows)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __contains__(self, mu) -> bool:
         return tuple(mu) in self._pos
@@ -71,8 +82,11 @@ def alphabet(rs: RootSystem, level: int) -> FusionAlphabet:
     fund_levels = [level_of(rs, tuple(int(i == j) for j in range(rs.rank)))
                    for i in range(rs.rank)]
     bounds = [level // fl for fl in fund_levels]
-    labels = sorted(mu for mu in product(*(range(b + 1) for b in bounds))
-                    if level_of(rs, mu) <= level)
+    try:
+        grid = product(*(range(b + 1) for b in bounds))
+    except OverflowError:  # product materializes each range
+        raise InputError(f"level {level} is too large to enumerate its alphabet") from None
+    labels = sorted(mu for mu in grid if level_of(rs, mu) <= level)
     pos = {mu: i for i, mu in enumerate(labels)}
     dual = []
     for mu in labels:
@@ -131,12 +145,10 @@ def fusion_coeff(alph: FusionAlphabet, lam, mu, nu) -> int:
     return alph.row(i, j)[k]
 
 
-@dataclass(frozen=True)
-class FusionRing:
+class FusionRing(namedtuple("FusionRing", "alphabet table")):
     """A verified ring: table[i][j][k] = N(labels[i], labels[j], labels[k])."""
 
-    alphabet: FusionAlphabet
-    table: tuple = field(compare=False)
+    __slots__ = ()
 
     def nonzero_ordered(self):
         """All ordered index triples (i,j,k) with N != 0, sorted; for serialization."""

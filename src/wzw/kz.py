@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import cmath
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -67,6 +66,8 @@ class _TensorOps:
 
     def t_power(self, vec: dict, z, power: int) -> dict:
         for _ in range(power):
+            if not vec:
+                break
             out: dict = {}
             for s in range(len(self.labels)):
                 for k, v in self.apply_slot(vec, s, self.reps[s].E).items():
@@ -85,17 +86,21 @@ def _validate_labels(labels) -> tuple:
     return labels
 
 
-@dataclass(eq=False)
 class KZSystem:
-    """Exact KZ data on the block quotient of a labeled configuration."""
+    """Exact KZ data on the block quotient of a labeled configuration.
 
-    level: int
-    labels: tuple
-    dim: int
-    classical_dim: int
-    a_matrices: dict            # (i, j) with i < j, 0-based -> dim x dim matrix
-    truncated: bool
-    base_point: tuple
+    `a_matrices` maps (i, j) with i < j, 0-based, to a dim x dim matrix.
+    """
+
+    def __init__(self, level: int, labels: tuple, dim: int, classical_dim: int,
+                 a_matrices: dict, truncated: bool, base_point: tuple):
+        self.level = level
+        self.labels = labels
+        self.dim = dim
+        self.classical_dim = classical_dim
+        self.a_matrices = a_matrices
+        self.truncated = truncated
+        self.base_point = base_point
 
     @property
     def n(self) -> int:
@@ -185,25 +190,27 @@ def residue_check(system: KZSystem) -> bool:
 # ---------------------------------------------------------------------------
 # numeric parallel transport
 
-@dataclass(eq=False)
 class TransportResult:
-    """Holonomy matrix of a piecewise-linear path, with a halving estimate."""
+    """Holonomy matrix of a piecewise-linear path, with a halving estimate.
 
-    matrix: list                # dim x dim complex
-    steps: int
-    path: str
-    error_estimate: float
-    converged: bool
+    `matrix` is a dim x dim list of complex rows.
+    """
 
-    def __post_init__(self):
+    def __init__(self, matrix: list, steps: int, path: str, error_estimate: float,
+                 converged: bool):
         # a holonomy is invertible, so |det| inside the error estimate means the
         # steps do not resolve the path, not a broken invariant
-        d = abs(_det(self.matrix))
-        if self.matrix and d <= self.error_estimate:
+        d = abs(_det(matrix))
+        if matrix and d <= error_estimate:
             raise InputError(f"transport matrix is not resolved by the steps: "
-                             f"|det| = {d:.3e} <= error {self.error_estimate:.3e}; "
+                             f"|det| = {d:.3e} <= error {error_estimate:.3e}; "
                              f"use more --steps or a path farther from the "
                              f"diagonals z_i = z_j")
+        self.matrix = matrix
+        self.steps = steps
+        self.path = path
+        self.error_estimate = error_estimate
+        self.converged = converged
 
 
 def _det(m: list) -> complex:
@@ -311,6 +318,8 @@ def parallel_transport(system: KZSystem, path, steps: int = 1000,
         _segment_guard([complex(x) for x in p], [complex(x) for x in p])
     if steps < 100:
         raise InputError(f"need at least 100 steps, got {steps}")
+    if not 0 < tolerance < cmath.inf:
+        raise InputError(f"tolerance must be a finite number > 0, got {tolerance}")
     for s in range(len(waypoints) - 1):
         _segment_guard([complex(x) for x in waypoints[s]],
                        [complex(x) for x in waypoints[s + 1]])

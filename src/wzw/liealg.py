@@ -23,7 +23,7 @@ nothing in this module floats.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -64,18 +64,11 @@ def _half_lengths(cartan: list[list[int]]) -> list[Fraction]:
     return [x / top for x in d]
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    series: str
-    rank: int
-    cartan_matrix: tuple[tuple[int, ...], ...]
-    gram: tuple[tuple[int, ...], ...]
-    denominator: int
-    pos_roots: tuple[Weight, ...]
-    root_columns: tuple[tuple[int, ...], ...]  # column(alpha) for alpha in pos_roots
-    highest_root: Weight
-    rho: Weight
-    dual_coxeter: int
+class RootSystem(namedtuple("RootSystem", "series rank cartan_matrix gram denominator "
+                            "pos_roots root_columns highest_root rho dual_coxeter")):
+    """The root data of one algebra; `root_columns[k]` is column(pos_roots[k])."""
+
+    __slots__ = ()
 
     @property
     def name(self) -> str:
@@ -351,12 +344,10 @@ def weight_multiplicities(rs: RootSystem, mu) -> dict[tuple, int]:
 # ---------------------------------------------------------------------------
 # explicit sl2 irreps
 
-@dataclass(frozen=True)
-class RepMatrices:
-    """Weight-basis matrices of the (m+1)-dimensional sl2 irrep."""
-    E: tuple[tuple[int, ...], ...]
-    F: tuple[tuple[int, ...], ...]
-    H: tuple[tuple[int, ...], ...]
+class RepMatrices(namedtuple("RepMatrices", "E F H")):
+    """Weight-basis matrices of the (m+1)-dimensional sl2 irrep, as int tuples."""
+
+    __slots__ = ()
 
 
 def sl2_irrep_matrices(m: int) -> RepMatrices:

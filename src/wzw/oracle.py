@@ -16,7 +16,7 @@ points z_i is the quotient of the classical coinvariants by the image of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -25,11 +25,11 @@ from .errors import InputError
 from .linalg import IntSpan, strides
 
 
-@dataclass(frozen=True)
-class CoinvariantProblem:
-    level: int
-    labels: tuple[int, ...]
-    points: tuple[Fraction, ...] | None = None
+class CoinvariantProblem(namedtuple("CoinvariantProblem", "level labels points",
+                                    defaults=(None,))):
+    """One block-rank query: sl2 labels at a level, at the points z_i when given."""
+
+    __slots__ = ()
 
 
 def _validate_labels(level, labels):

@@ -25,7 +25,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import InputError
@@ -33,30 +33,27 @@ from .fusion import FusionAlphabet, alphabet
 from .liealg import RootSystem, Weight, casimir_eigenvalue
 
 
-@dataclass(frozen=True)
-class MarkedSurface:
+class MarkedSurface(namedtuple("MarkedSurface", "rs level genus boundary_labels")):
     """A genus-g surface with labeled boundary circles, in a fixed (rs, l)."""
 
-    rs: RootSystem
-    level: int
-    genus: int
-    boundary_labels: tuple[Weight, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.genus < 0:
-            raise InputError(f"genus {self.genus} is negative")
-        alph = alphabet(self.rs, self.level)
-        for lam in self.boundary_labels:
+    def __new__(cls, rs: RootSystem, level: int, genus: int,
+                boundary_labels: tuple[Weight, ...]):
+        if genus < 0:
+            raise InputError(f"genus {genus} is negative")
+        alph = alphabet(rs, level)
+        for lam in boundary_labels:
             if lam not in alph:
-                raise InputError(f"boundary label {lam} is not in the level-{self.level} alphabet")
+                raise InputError(f"boundary label {lam} is not in the level-{level} alphabet")
+        return super().__new__(cls, rs, level, genus, boundary_labels)
 
     @property
     def alphabet(self) -> FusionAlphabet:
         return alphabet(self.rs, self.level)
 
 
-@dataclass(frozen=True)
-class TrivalentGraph:
+class TrivalentGraph(namedtuple("TrivalentGraph", "num_vertices edges legs")):
     """Dual graph of a pants decomposition.
 
     `edges` are unordered internal edges written as (u, v) vertex pairs
@@ -64,24 +61,23 @@ class TrivalentGraph:
     Every vertex must have total degree 3, loops counting twice.
     """
 
-    num_vertices: int
-    edges: tuple[tuple[int, int], ...]
-    legs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        v = self.num_vertices
+    def __new__(cls, num_vertices: int, edges: tuple[tuple[int, int], ...],
+                legs: tuple[int, ...]):
+        v = num_vertices
         if v < 1:
             raise InputError("a trivalent graph needs at least one vertex")
         deg = [0] * v
         adj = [set() for _ in range(v)]
-        for a, b in self.edges:
+        for a, b in edges:
             if not (0 <= a < v and 0 <= b < v):
                 raise InputError(f"edge ({a},{b}) leaves the vertex range")
             deg[a] += 1
             deg[b] += 1
             adj[a].add(b)
             adj[b].add(a)
-        for a in self.legs:
+        for a in legs:
             if not 0 <= a < v:
                 raise InputError(f"leg vertex {a} out of range")
             deg[a] += 1
@@ -100,6 +96,7 @@ class TrivalentGraph:
             frontier = nxt
         if len(seen) != v:
             raise InputError("graph is not connected")
+        return super().__new__(cls, num_vertices, edges, legs)
 
     @property
     def betti(self) -> int:
@@ -250,15 +247,15 @@ def block_dimension(surface: MarkedSurface, graph: TrivalentGraph | None = None)
     return _state_sum(surface, canonical_graph(g, n))
 
 
-@dataclass(frozen=True)
-class TwistEigenvalue:
+class TwistEigenvalue(namedtuple("TwistEigenvalue", "exponent")):
     """Dehn-twist action exp(-i pi r) on a block summand, r rational in [0,2)."""
 
-    exponent: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.exponent < 2:
-            raise InputError(f"exponent {self.exponent} not reduced mod 2")
+    def __new__(cls, exponent: Fraction):
+        if not 0 <= exponent < 2:
+            raise InputError(f"exponent {exponent} not reduced mod 2")
+        return super().__new__(cls, exponent)
 
     def eigenvalue(self) -> complex:
         return cmath.exp(-1j * math.pi * float(self.exponent))

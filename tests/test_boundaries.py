@@ -1,14 +1,24 @@
-"""Import boundaries between the package's modules, read from their source."""
+"""Module boundaries: imports between the package's modules, read from their
+source, what a command loads at start-up, and the surface of the public types."""
 
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 import wzw
+from wzw.fock import SL2
+from wzw.fusion import alphabet, fusion_table
+from wzw.liealg import root_system, sl2_irrep_matrices
+from wzw.oracle import CoinvariantProblem
+from wzw.surface import MarkedSurface, TwistEigenvalue, canonical_graph
 
 SRC = Path(wzw.__file__).parent
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
@@ -62,6 +72,44 @@ def test_fast_paths_take_only_the_problem_api_from_the_oracle():
     assert not [name for src, name in package_imports("kz") if src == "oracle"]
 
 
+def test_cli_start_up_imports_no_code_generation():
+    # dataclasses pulls in inspect, ast, dis and tokenize and generates code per
+    # class; typing costs as much again.  -S keeps a site .pth preload from
+    # importing them first and hiding a regression.
+    code = ("import sys, wzw.cli; "
+            "print(*sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)}, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == []
+
+
+A1 = root_system("A1")
+# one instance of every read-only type, with one of its fields
+READ_ONLY = {
+    "RootSystem": (A1, "rank"),
+    "RepMatrices": (sl2_irrep_matrices(1), "E"),
+    "FusionAlphabet": (alphabet(A1, 1), "level"),
+    "FusionRing": (fusion_table(alphabet(A1, 1)), "table"),
+    "MarkedSurface": (MarkedSurface(A1, 1, 0, ()), "genus"),
+    "TrivalentGraph": (canonical_graph(0, 3), "legs"),
+    "TwistEigenvalue": (TwistEigenvalue(Fraction(1, 2)), "exponent"),
+    "CoinvariantProblem": (CoinvariantProblem(1, (1, 1)), "points"),
+    "CurrentAlgebra": (SL2, "dual_coxeter"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READ_ONLY))
+def test_value_type_rejects_attribute_assignment(name):
+    instance, field = READ_ONLY[name]
+    assert type(instance).__name__ == name
+    for attr in (field, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(instance, attr, None)
+    with pytest.raises(AttributeError):
+        delattr(instance, field)
+
+
 # entry points that only the interpreter calls
 ENTRY_POINTS = {("cli", "main")}
 
@@ -77,22 +125,41 @@ def _read_names(tree: ast.AST) -> tuple[set, set]:
     return names, dotted
 
 
+def _field_names(node: ast.expr) -> list[str]:
+    """The names of a namedtuple field spec or a `__slots__` value."""
+    names = ast.literal_eval(node)
+    return names.replace(",", " ").split() if isinstance(names, str) else list(names)
+
+
 def _public_members(node: ast.ClassDef) -> list[str]:
-    """Public methods of a class and, for a dataclass, its public fields."""
-    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
-    is_dataclass = any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
+    """Public methods of a class and its public fields.
+
+    A field is a namedtuple field of a `namedtuple(...)` base, a `__slots__`
+    entry, or a `self.<name>` assigned in `__init__`.
+    """
     names = []
+    for base in node.bases:
+        if (isinstance(base, ast.Call) and isinstance(base.func, ast.Name)
+                and base.func.id == "namedtuple"):
+            names += _field_names(base.args[1])
     for item in node.body:
         if isinstance(item, ast.FunctionDef):
             names.append(item.name)
-        elif (is_dataclass and isinstance(item, ast.AnnAssign)
-              and isinstance(item.target, ast.Name)):
-            names.append(item.target.id)
+            if item.name == "__init__":
+                targets = [t for stmt in ast.walk(item) if isinstance(stmt, ast.Assign)
+                           for t in stmt.targets]
+                targets += [stmt.target for stmt in ast.walk(item)
+                            if isinstance(stmt, ast.AnnAssign)]
+                names += [t.attr for t in targets if isinstance(t, ast.Attribute)
+                          and isinstance(t.value, ast.Name) and t.value.id == "self"]
+        elif (isinstance(item, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets)):
+            names += _field_names(item.value)
     return [name for name in names if not name.startswith("_")]
 
 
 def test_every_public_definition_is_used_by_package_code():
-    # a public function, class, method or dataclass field that only tests read
+    # a public function, class, method or field that only tests read
     # is test-only API; every module is parsed once.  A top-level name is
     # looked up one top-level statement at a time; a member counts as used
     # when package code reads an attribute of its name anywhere.

@@ -11,11 +11,11 @@ from wzw import cli
 from wzw.errors import InternalError
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     code = ("import sys; from wzw.cli import main; "
             "sys.exit(main(sys.argv[1:]))")
     return subprocess.run([sys.executable, "-c", code, *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def test_dim_example():
@@ -152,6 +152,39 @@ def test_kz_transport_under_resolved_path_is_an_input_error(tmp_path):
     assert out.stdout == ""
     assert "--steps" in out.stderr and "Traceback" not in out.stderr
     assert "not resolved by the steps" in out.stderr and "singular" not in out.stderr
+
+
+@pytest.mark.parametrize("tolerance", ["inf", "nan", "0", "-1"])
+def test_kz_transport_rejects_a_bad_tolerance(tmp_path, tolerance):
+    # inf would call any error converged, and nan, 0 or -1 none at any --steps
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps({"points": [[[2, 0], [0, 0], [-2, 0]],
+                                           [[2, 1], [0, 0], [-2, 0]]], "closed": True}))
+    out = run_cli("kz", "transport", "--level", "2", "--labels", "1,1,2",
+                  "--path", str(path), "--steps", "200", f"--tolerance={tolerance}")
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr.startswith("error:") and out.stderr.count("\n") == 1
+    assert "tolerance" in out.stderr
+
+
+HUGE_LEVEL = "99999999999999999999"
+
+
+@pytest.mark.parametrize("argv", [("fusion-table",), ("dim", "--genus", "1"),
+                                  ("dehn", "--label", "1")], ids=lambda argv: argv[0])
+def test_level_too_large_to_enumerate_is_an_input_error(argv):
+    out = run_cli(*argv, "--algebra", "A1", "--level", HUGE_LEVEL)
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr.startswith("error:") and out.stderr.count("\n") == 1
+
+
+def test_kz_matrices_at_a_huge_level_stop_at_the_zero_vector():
+    # T^(l+1) kills V_1 (x) V_1 after two steps; the loop must not run l more
+    out = run_cli("kz", "matrices", "--level", HUGE_LEVEL, "--labels", "1,1", timeout=60)
+    assert out.returncode == 0
+    assert json.loads(out.stdout)["matrices"][0]["entries"] == [["3/200000000000000000002"]]
 
 
 def test_kz_truncation_must_be_flat(tmp_path):
