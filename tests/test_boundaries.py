@@ -73,9 +73,9 @@ def test_fast_paths_take_only_the_problem_api_from_the_oracle():
 
 
 def test_cli_start_up_imports_no_code_generation():
-    # dataclasses pulls in inspect, ast, dis and tokenize and generates code per
-    # class; typing costs as much again.  -S keeps a site .pth preload from
-    # importing them first and hiding a regression.
+    # dataclasses (with the inspect, ast, dis and tokenize it loads) and typing
+    # add tens of milliseconds to every command.  -S keeps a site .pth preload
+    # from importing them first and hiding a regression.
     code = ("import sys, wzw.cli; "
             "print(*sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
