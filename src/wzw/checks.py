@@ -49,10 +49,14 @@ class CheckResult(namedtuple("CheckResult", "name passed detail")):
                 "detail": self.detail}
 
 
-def _row(name: str, window, residual) -> dict:
-    if isinstance(window, tuple):
-        window = f"[{window[0]},{window[1]}]"
-    return {"name": name, "window": window, "residual_norm": str(residual)}
+def _row(name: str, window: tuple, residual) -> dict:
+    return {"name": name, "window": f"[{window[0]},{window[1]}]",
+            "residual_norm": str(residual)}
+
+
+def _failures(cases: int, bad: list, noun: str) -> str:
+    """The failure line: how many of the cases failed, and the first by name."""
+    return f"{len(bad)}/{cases} {noun}, first {bad[0]}"
 
 
 def _sample_points(rng: random.Random, n: int) -> tuple[Fraction, ...]:
@@ -73,10 +77,10 @@ def virasoro_rows(kmax: int, degree: int) -> list[dict]:
 def virasoro_bracket() -> CheckResult:
     """[L_k, L_l] = (l-k)L_{k+l} + central term, exactly, on the Fock window."""
     rows = virasoro_rows(VIRASORO_KMAX, VIRASORO_DEGREE)
-    bad = [r for r in rows if r["residual_norm"] != "0"]
+    bad = [r["name"] for r in rows if r["residual_norm"] != "0"]
     detail = (f"{len(rows)} bracket pairs, |k|,|l| <= {VIRASORO_KMAX}, degree bound "
               f"{VIRASORO_DEGREE}, all residuals 0" if not bad else
-              f"{len(bad)}/{len(rows)} nonzero residuals, first {bad[0]['name']}")
+              _failures(len(rows), bad, "nonzero residuals"))
     return CheckResult("virasoro-bracket", not bad, detail)
 
 
@@ -113,36 +117,32 @@ def sugawara_rows(level: int, mu: int, degree: int) -> list[dict]:
 
 def sugawara_identities() -> CheckResult:
     """Current brackets and the L0 spectrum for A1, levels 1 and 2, all labels."""
-    rows = []
+    cases, bad = 0, []
     for level in (1, 2):
         for mu in range(level + 1):
-            for r in sugawara_rows(level, mu, SUGAWARA_DEGREE):
-                r = dict(r)
-                r["name"] = f"l={level},mu={mu}:" + r["name"]
-                rows.append(r)
-    bad = [r for r in rows if r["residual_norm"] != "0"]
-    detail = (f"{len(rows)} identities (brackets, currents, L0 spectra) at "
+            rows = sugawara_rows(level, mu, SUGAWARA_DEGREE)
+            cases += len(rows)
+            bad += [f"l={level},mu={mu}:{r['name']}" for r in rows
+                    if r["residual_norm"] != "0"]
+    detail = (f"{cases} identities (brackets, currents, L0 spectra) at "
               f"degree bound {SUGAWARA_DEGREE}, all residuals 0" if not bad else
-              f"{len(bad)}/{len(rows)} nonzero residuals, first {bad[0]['name']}")
+              _failures(cases, bad, "nonzero residuals"))
     return CheckResult("sugawara-identities", not bad, detail)
 
 
 def oracle_equivalence() -> CheckResult:
     """fusion_coeff agrees with the coinvariant three-point rank, all A1 triples."""
     rs = root_system("A1")
-    rows, bad = [], []
+    cases, bad = 0, []
     for level in range(ORACLE_LEVEL_MAX + 1):
         alph = alphabet(rs, level)
         for m1, m2, m3 in itertools.product(range(level + 1), repeat=3):
-            n = fusion_coeff(alph, (m1,), (m2,), (m3,))
-            r = three_point_rank(level, m1, m2, m3)
-            rows.append({"name": f"l={level},labels=({m1},{m2},{m3})",
-                         "fusion": n, "rank": r})
-            if n != r:
-                bad.append(rows[-1])
-    detail = (f"{len(rows)} triples across levels 0..{ORACLE_LEVEL_MAX}, "
+            cases += 1
+            if fusion_coeff(alph, (m1,), (m2,), (m3,)) != three_point_rank(level, m1, m2, m3):
+                bad.append(f"l={level},labels=({m1},{m2},{m3})")
+    detail = (f"{cases} triples across levels 0..{ORACLE_LEVEL_MAX}, "
               f"fusion coefficient == block rank everywhere" if not bad else
-              f"{len(bad)}/{len(rows)} disagreements, first {bad[0]['name']}")
+              _failures(cases, bad, "disagreements"))
     return CheckResult("oracle-equivalence", not bad, detail)
 
 
@@ -154,14 +154,12 @@ def fusion_axioms() -> CheckResult:
     and L^4 associativity instances.
     """
     cases = [("A1", level) for level in range(5)] + [("A2", level) for level in range(3)]
-    rows = []
+    total = 0
     for name, level in cases:
         alph = alphabet(root_system(name), level)
         fusion_table(alph)
         size = len(alph.labels)
-        rows.append({"name": f"{name},l={level}", "cases": size ** 2 + size ** 3 + size ** 4,
-                     "status": "pass"})
-    total = sum(r["cases"] for r in rows)
+        total += size ** 2 + size ** 3 + size ** 4
     return CheckResult("fusion-axioms", True,
                        f"{total} axiom instances over {len(cases)} rings, all pass")
 
@@ -169,12 +167,13 @@ def fusion_axioms() -> CheckResult:
 def block_dimensions() -> CheckResult:
     """Torus counts, graph independence, channel agreement, factorization."""
     rs = root_system("A1")
-    rows, bad = [], []
+    cases, bad = 0, []
 
     def record(name, got, want):
-        rows.append({"name": name, "got": got, "want": want})
+        nonlocal cases
+        cases += 1
         if got != want:
-            bad.append(rows[-1])
+            bad.append(name)
 
     for level in range(5):
         record(f"torus,l={level}",
@@ -197,15 +196,15 @@ def block_dimensions() -> CheckResult:
                                               (mu, dual_weight(rs, mu))))
                 for mu in alphabet(rs, level).labels)
             record(f"factorization,l={level},g={genus}", whole, parts)
-    detail = (f"{len(rows)} dimension identities, all agree" if not bad else
-              f"{len(bad)}/{len(rows)} mismatches, first {bad[0]['name']}")
+    detail = (f"{cases} dimension identities, all agree" if not bad else
+              _failures(cases, bad, "mismatches"))
     return CheckResult("block-dimensions", not bad, detail)
 
 
 def propagation() -> CheckResult:
     """Appending a trivial label changes neither surface dims nor block ranks."""
     rs = root_system("A1")
-    rows, bad = [], []
+    cases, bad = 0, []
     for level in range(4):
         labels = alphabet(rs, level).labels
         for genus in range(3):
@@ -214,24 +213,20 @@ def propagation() -> CheckResult:
                     base = block_dimension(MarkedSurface(rs, level, genus, bound))
                     grown = block_dimension(
                         MarkedSurface(rs, level, genus, bound + (labels[0],)))
-                    rows.append({"name": f"surface,l={level},g={genus},labels={bound}",
-                                 "base": base, "grown": grown})
+                    cases += 1
                     if base != grown:
-                        bad.append(rows[-1])
+                        bad.append(f"surface,l={level},g={genus},labels={bound}")
     rng = random.Random(POINT_SEED)
     for level in range(3):
         for n in range(1, 5):
             for marks in itertools.product(range(level + 1), repeat=n):
                 for _ in range(3):
                     z = _sample_points(rng, n)
-                    ok = propagation_check(level, marks, z)
-                    rows.append({"name": f"npoint,l={level},labels={marks},z={z}",
-                                 "status": "pass" if ok else "fail"})
-                    if not ok:
-                        bad.append(rows[-1])
-    detail = (f"{len(rows)} propagation instances, dimension and rank preserved"
-              if not bad else
-              f"{len(bad)}/{len(rows)} violations, first {bad[0]['name']}")
+                    cases += 1
+                    if not propagation_check(level, marks, z):
+                        bad.append(f"npoint,l={level},labels={marks},z={z}")
+    detail = (f"{cases} propagation instances, dimension and rank preserved"
+              if not bad else _failures(cases, bad, "violations"))
     return CheckResult("propagation", not bad, detail)
 
 
@@ -272,21 +267,18 @@ def dehn_twists() -> CheckResult:
 
 def kz_flatness() -> CheckResult:
     """Kohno relations and residue sums for every A1 system in range."""
-    rows, bad = [], []
+    cases, bad = 0, []
     for level in range(KZ_LEVEL_MAX + 1):
         for n in range(2, KZ_NMAX + 1):
             for marks in itertools.product(range(level + 1), repeat=n):
                 system = kz_system(level, marks)
                 flat = flatness_check(system)
                 residues = residue_check(system)
-                rows.append({"name": f"l={level},labels={marks}",
-                             "dim": system.dim,
-                             "flat": flat, "residue_sums": residues})
+                cases += 1
                 if not (flat and residues):
-                    bad.append(rows[-1])
-    detail = (f"{len(rows)} systems, Kohno relations and residue sums exact"
-              if not bad else
-              f"{len(bad)}/{len(rows)} failures, first {bad[0]['name']}")
+                    bad.append(f"l={level},labels={marks}")
+    detail = (f"{cases} systems, Kohno relations and residue sums exact"
+              if not bad else _failures(cases, bad, "failures"))
     return CheckResult("kz-flatness", not bad, detail)
 
 
@@ -353,43 +345,35 @@ def kz_transport() -> CheckResult:
 def gluing_recursion() -> CheckResult:
     """Recursion identity for the gluing series and eps_0 = inverse pairing.
 
-    gluing_tensor has verified every recursion residual; the rows with
-    dp <= dmax are reported from series.residuals.
+    gluing_tensor has verified every recursion residual; the ones with
+    dp <= dmax are counted from series.residuals.
     """
-    rows, bad = [], []
+    cases, bad = 0, []
     for mu in (0, 1):
         series = gluing_tensor(1, mu, GLUING_DEGREE)
-        rows += [_row(f"mu={mu},recursion[n={n},gen={gen},deg={dp}]", (dp, dp + n), worst)
-                 for n, gen, dp, worst in series.residuals if dp <= GLUING_DMAX]
-        worst = _identity_deviation(
-            mat_mul(transpose(series.quotient.pairing.gram(0)), series.terms[0]))
-        rows.append(_row(f"mu={mu},eps0-inverse-pairing", (0, 0), worst))
-        if worst:
-            bad.append(rows[-1])
-    detail = (f"{len(rows)} recursion and pairing identities, all residuals 0"
-              if not bad else
-              f"{len(bad)}/{len(rows)} nonzero, first {bad[0]['name']}")
+        cases += sum(dp <= GLUING_DMAX for _, _, dp, _ in series.residuals) + 1
+        if _identity_deviation(mat_mul(transpose(series.quotient.gram[0]), series.terms[0])):
+            bad.append(f"mu={mu},eps0-inverse-pairing")
+    detail = (f"{cases} recursion and pairing identities, all residuals 0"
+              if not bad else _failures(cases, bad, "nonzero"))
     return CheckResult("gluing-recursion", not bad, detail)
 
 
 def rank_z_independence() -> CheckResult:
     """Block rank is the same for every choice of distinct marked points."""
     rng = random.Random(POINT_SEED)
-    rows, bad = [], []
+    cases, bad = 0, []
     for level in range(3):
         for n in range(1, 5):
             for marks in itertools.product(range(level + 1), repeat=n):
-                ranks = []
-                for _ in range(3):
-                    z = _sample_points(rng, n)
-                    ranks.append(npoint_block_rank(
-                        CoinvariantProblem(level, marks, z)))
-                rows.append({"name": f"l={level},labels={marks}", "ranks": ranks})
-                if len(set(ranks)) != 1:
-                    bad.append(rows[-1])
-    detail = (f"{len(rows)} cases x 3 configurations, ranks independent of z"
-              if not bad else
-              f"{len(bad)}/{len(rows)} cases vary, first {bad[0]['name']}")
+                ranks = {npoint_block_rank(CoinvariantProblem(level, marks,
+                                                              _sample_points(rng, n)))
+                         for _ in range(3)}
+                cases += 1
+                if len(ranks) != 1:
+                    bad.append(f"l={level},labels={marks}")
+    detail = (f"{cases} cases x 3 configurations, ranks independent of z"
+              if not bad else _failures(cases, bad, "cases vary"))
     return CheckResult("rank-z-independence", not bad, detail)
 
 

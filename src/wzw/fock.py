@@ -28,7 +28,10 @@ Sign conventions, pinned once:
   [L_k, L_l] = (l-k) L_{k+l} + delta_{k+l,0} (k^3-k)/12.
 
 The induced module uses the PBW basis of monomials X t^{-k_r} ... X t^{-k_1} v
-with factors sorted descending; straightening is exact integer arithmetic.
+with factors sorted descending; straightening (`InducedModule.apply_gen`) is
+exact integer arithmetic.  The currents, the Sugawara operators and the Gram
+blocks of the contravariant pairing (`gram_blocks`, one degree at a time) are
+all read through it.
 """
 
 from __future__ import annotations
@@ -57,12 +60,11 @@ class CurrentAlgebra:
     equal only to itself, so it keys the `induced_module` cache by identity.
     """
 
-    __slots__ = ("gen_names", "gen_weight", "bracket", "form", "dual_pairs",
-                 "dual_coxeter", "irrep")
+    __slots__ = ("gen_names", "bracket", "form", "dual_pairs", "dual_coxeter", "irrep")
 
-    def __init__(self, gen_names: tuple, gen_weight: tuple, bracket: dict, form: dict,
+    def __init__(self, gen_names: tuple, bracket: dict, form: dict,
                  dual_pairs: tuple, dual_coxeter: int, irrep):
-        values = (gen_names, gen_weight, bracket, form, dual_pairs, dual_coxeter, irrep)
+        values = (gen_names, bracket, form, dual_pairs, dual_coxeter, irrep)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
@@ -88,7 +90,7 @@ def _heisenberg_irrep(mu: int) -> tuple:
 # form fixed by [E,F] = H, [H,E] = 2E, c(E,F) = 1, c(H,H) = 2; the Casimir
 # is E(x)F + F(x)E + H(x)H/2
 SL2 = CurrentAlgebra(
-    gen_names=("E", "H", "F"), gen_weight=(2, 0, -2),
+    gen_names=("E", "H", "F"),
     bracket={(0, 1): ((0, -2),), (1, 0): ((0, 2),),
              (0, 2): ((1, 1),), (2, 0): ((1, -1),),
              (1, 2): ((2, -2),), (2, 1): ((2, 2),)},
@@ -99,7 +101,7 @@ SL2 = CurrentAlgebra(
 # one abelian generator t with c(t, t) = 1; its level-1 induced module is the
 # oscillator Fock space
 HEISENBERG = CurrentAlgebra(
-    gen_names=("t",), gen_weight=(0,), bracket={}, form={(0, 0): 1},
+    gen_names=("t",), bracket={}, form={(0, 0): 1},
     dual_pairs=((0, 0, 1),), dual_coxeter=0, irrep=_heisenberg_irrep)
 
 
@@ -145,7 +147,6 @@ class InducedModule:
         self.algebra = algebra
         self._mats = algebra.irrep(mu)
         self._colors = len(algebra.gen_names)
-        self._gen_weight = algebra.gen_weight
         self._bracket = algebra.bracket
         self._form = algebra.form
         self._memo: dict = {}
@@ -165,10 +166,6 @@ class InducedModule:
         if n not in self._index:
             self._index[n] = {e: i for i, e in enumerate(self.basis(n))}
         return self._index[n]
-
-    def weight(self, elt) -> int:
-        mono, i = elt
-        return sum(self._gen_weight[g] for _, g in mono) + self.mu - 2 * i
 
     def apply_gen(self, m: int, g: int, elt) -> dict:
         """X_g t^m applied to a basis element; integer coefficients."""
@@ -413,52 +410,30 @@ def check_current_bracket(k: int, m: int, g: int, module: InducedModule) -> Grad
 # ---------------------------------------------------------------------------
 # contravariant pairing, integrable quotient, gluing tensor
 
-class GramPairing:
-    """The pairing b of an sl2 induced module with itself (sl2 labels are self-dual).
+def gram_blocks(module: InducedModule) -> list:
+    """The integer Gram blocks G_0 .. G_d of the pairing b of an sl2 induced module.
 
-    Degree 0 pairs the weight bases by b(v_i, v_j) = (-1)^i delta_{i+j, mu};
-    deeper degrees follow from the adjunction b(X t^{-k} w, u') =
-    -b(w, X t^{k} u'), peeling the leading creation factor.
+    sl2 labels are self-dual, so b pairs the module with itself.  Degree 0
+    pairs the weight bases by b(v_i, v_j) = (-1)^i delta_{i+j, mu}.  A deeper
+    basis element u = X t^{-k} w, peeled at its leading creation factor, has
+    the row G_n[u] = -G_{n-k}[w] read through X t^{k}: the adjunction
+    b(X t^{-k} w, u') = -b(w, X t^{k} u').
     """
-
-    def __init__(self, module: InducedModule):
-        self.module = module
-        self._memo: dict = {}
-        self._weight: dict = {}  # basis element -> weight, for degrees < _indexed
-        self._indexed = 0
-
-    def value(self, u, uprime):
-        """b(u, u') for basis elements of a degree `gram` has indexed."""
-        key = (u, uprime)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        mono, vi = u
-        if self._weight[u] + self._weight[uprime] != 0:
-            val = 0
-        elif not mono:
-            mono2, vj = uprime
-            if mono2:
-                val = 0  # graded pairing: degrees must match
-            else:
-                val = (-1) ** vi if vi + vj == self.module.mu else 0
-        else:
+    mu = module.mu
+    blocks = [[[(-1) ** i if i + j == mu else 0 for j in range(mu + 1)]
+               for i in range(mu + 1)]]
+    for n in range(1, module.degree_bound + 1):
+        basis = module.basis(n)
+        block = []
+        for mono, vi in basis:
             (k, g), rest = mono[0], mono[1:]
-            val = 0
-            for melt, c in self.module.apply_gen(k, g, uprime).items():
-                val -= c * self.value((rest, vi), melt)
-        self._memo[key] = val
-        return val
-
-    def gram(self, n: int) -> list:
-        """Integer Gram matrix of the degree-n piece."""
-        # the recursion only reaches basis elements of degree <= n
-        while self._indexed <= n:
-            for elt in self.module.basis(self._indexed):
-                self._weight[elt] = self.module.weight(elt)
-            self._indexed += 1
-        basis = self.module.basis(n)
-        return [[self.value(u, up) for up in basis] for u in basis]
+            pos = module.positions(n - k)
+            row = blocks[n - k][pos[rest, vi]]
+            block.append([-sum(c * row[pos[melt]]
+                               for melt, c in module.apply_gen(k, g, up).items())
+                          for up in basis])
+        blocks.append(block)
+    return blocks
 
 
 def _pivot_columns(rows) -> list[int]:
@@ -471,19 +446,19 @@ def _pivot_columns(rows) -> list[int]:
 class IntegrableQuotient:
     """Degreewise quotient of an induced module by the radical of b.
 
-    Every Gram block satisfies G_n^T = (-1)^mu G_n, so the left and right
-    radicals of b coincide and one quotient serves both slots.  `kept[n]`
-    holds the indices of the basis elements representing the degree-n
-    quotient; `proj[n]` is the rational (q x dim) matrix sending a degree-n
-    coordinate vector to its quotient coordinates over the kept basis;
-    `gram_inverse[n]` is the inverse of the degree-n Gram block between the
-    kept bases.
+    `gram[n]` is the integer Gram block G_n of `gram_blocks`.  Every one
+    satisfies G_n^T = (-1)^mu G_n, so the left and right radicals of b
+    coincide and one quotient serves both slots.  `kept[n]` holds the
+    indices of the basis elements representing the degree-n quotient;
+    `proj[n]` is the rational (q x dim) matrix sending a degree-n coordinate
+    vector to its quotient coordinates over the kept basis; `gram_inverse[n]`
+    is the inverse of the degree-n Gram block between the kept bases.
     """
 
-    def __init__(self, module: InducedModule, pairing: GramPairing, kept: dict,
+    def __init__(self, module: InducedModule, gram: list, kept: dict,
                  proj: dict, gram_inverse: dict):
         self.module = module
-        self.pairing = pairing
+        self.gram = gram
         self.kept = kept
         self.proj = proj
         self.gram_inverse = gram_inverse
@@ -515,11 +490,10 @@ class IntegrableQuotient:
 
 def integrable_quotient(module: InducedModule) -> IntegrableQuotient:
     """Quotient by the radical of b, computed degree by degree."""
-    pairing = GramPairing(module)
+    gram = gram_blocks(module)
     sign = (-1) ** module.mu
     kept, proj, gram_inverse = {}, {}, {}
-    for n in range(module.degree_bound + 1):
-        g = pairing.gram(n)
+    for n, g in enumerate(gram):
         if transpose(g) != [[sign * v for v in row] for row in g]:
             raise InternalError(f"degree-{n} Gram matrix is not (-1)^mu-symmetric")
         k = kept[n] = _pivot_columns(g)
@@ -533,7 +507,7 @@ def integrable_quotient(module: InducedModule) -> IntegrableQuotient:
         proj[n] = mat_mul(inv, [g[i] for i in k])
     if len(kept[0]) != module.mu + 1:
         raise InternalError("degree-0 pairing is singular; b_mu must be perfect")
-    return IntegrableQuotient(module=module, pairing=pairing, kept=kept, proj=proj,
+    return IntegrableQuotient(module=module, gram=gram, kept=kept, proj=proj,
                               gram_inverse=gram_inverse)
 
 

@@ -308,7 +308,15 @@ def _transport_fixed(system: KZSystem, waypoints, per_seg: int) -> list:
 
 def parallel_transport(system: KZSystem, path, steps: int = 1000,
                        tolerance: float = 1e-6) -> TransportResult:
-    """RK4 holonomy along a piecewise-linear path (list of configurations)."""
+    """RK4 holonomy along a piecewise-linear path (list of configurations).
+
+    A truncated system is refused: its matrices are the quotient at one base
+    point, so its transport is not the block holonomy.
+    """
+    if system.truncated:
+        raise InputError(f"level truncation is not supported for transport: labels "
+                         f"{system.labels} at level {system.level} truncate the block; "
+                         f"`wzw oracle npoint` gives its rank")
     waypoints = [tuple(p) for p in path]
     if len(waypoints) < 1:
         raise InputError("path needs at least one configuration")

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from wzw.errors import InputError, InternalError
-from wzw.fock import (HEISENBERG, GradedOperator, GramPairing, check_current_bracket,
+from wzw import fock
+from wzw.fock import (HEISENBERG, GradedOperator, check_current_bracket,
                       check_sugawara_bracket, commutator, fock_space, gluing_tensor,
-                      induced_module, integrable_quotient, sugawara_op)
+                      gram_blocks, induced_module, integrable_quotient, sugawara_op)
 
 # graded dimensions of the level-1 integrable quotients, frozen from the
 # Gram-radical computation and equal to the classical character coefficients
@@ -102,27 +103,57 @@ def test_level_zero_quotient_is_trivial():
     assert [quot.dim(n) for n in range(4)] == [1, 0, 0, 0]
 
 
+def reference_gram(module):
+    """G_0 .. G_d entry by entry: b(u, u') by a memoized recursion on pairs,
+    peeling the leading factor of u by b(X t^{-k} w, u') = -b(w, X t^k u')."""
+    memo = {}
+
+    def value(u, uprime):
+        if (u, uprime) not in memo:
+            (mono, vi), (mono2, vj) = u, uprime
+            if not mono:
+                val = 0 if mono2 or vi + vj != module.mu else (-1) ** vi
+            else:
+                (k, g), rest = mono[0], mono[1:]
+                val = -sum(c * value((rest, vi), melt)
+                           for melt, c in module.apply_gen(k, g, uprime).items())
+            memo[u, uprime] = val
+        return memo[u, uprime]
+
+    return [[[value(u, up) for up in module.basis(n)] for u in module.basis(n)]
+            for n in range(module.degree_bound + 1)]
+
+
+GRAM_LABELS = [(level, mu) for level in range(4) for mu in range(level + 1)]
+
+
+@pytest.mark.parametrize("level,mu", GRAM_LABELS,
+                         ids=[f"l{level}-mu{mu}" for level, mu in GRAM_LABELS])
+def test_gram_blocks_match_the_pair_recursion(level, mu):
+    module = induced_module(level, mu, 5)
+    want = reference_gram(module)
+    assert len(want) == 6
+    for n, block in enumerate(gram_blocks(module)):
+        assert block == want[n], n
+
+
 def test_gram_blocks_are_sign_symmetric():
     # G_n^T = (-1)^mu G_n, which lets one quotient serve both slots of b
-    for level in range(4):
-        for mu in range(level + 1):
-            pairing = GramPairing(induced_module(level, mu, 5))
-            for n in range(6):
-                g = pairing.gram(n)
-                assert all(g[j][i] == (-1) ** mu * g[i][j]
-                           for i in range(len(g)) for j in range(len(g)))
+    for level, mu in GRAM_LABELS:
+        for g in gram_blocks(induced_module(level, mu, 5)):
+            assert all(g[j][i] == (-1) ** mu * g[i][j]
+                       for i in range(len(g)) for j in range(len(g)))
 
 
 def test_quotient_rejects_an_asymmetric_gram_block(monkeypatch):
-    real_gram = GramPairing.gram
+    real_gram_blocks = fock.gram_blocks
 
-    def skewed(self, n):
-        g = real_gram(self, n)
-        if n == 1:
-            g[0][1] += 1
-        return g
+    def skewed(module):
+        blocks = real_gram_blocks(module)
+        blocks[1][0][1] += 1
+        return blocks
 
-    monkeypatch.setattr(GramPairing, "gram", skewed)
+    monkeypatch.setattr(fock, "gram_blocks", skewed)
     with pytest.raises(InternalError, match="symmetric"):
         integrable_quotient(induced_module(1, 0, 2))
 
@@ -140,12 +171,11 @@ def test_null_vector_lies_in_radical():
     for level, mu in [(1, 1), (2, 1)]:
         deg = level - mu + 1
         module = induced_module(level, mu, deg)
-        pairing = GramPairing(module)
         vec = {((), 0): Fraction(1)}
         for _ in range(deg):
             vec = _apply_to_vector(module, -1, 0, vec)
         assert vec, "null vector collapsed to zero before pairing"
-        gram = pairing.gram(deg)
+        gram = gram_blocks(module)[deg]
         coords = [Fraction(0)] * module.dim(deg)
         for key, val in vec.items():
             coords[module.positions(deg)[key]] = val
@@ -253,7 +283,7 @@ def test_gluing_tensor_shape_and_recursion():
 
 def test_gluing_eps0_inverts_pairing():
     series = gluing_tensor(1, 0, 2)
-    gram0 = series.quotient.pairing.gram(0)
+    gram0 = series.quotient.gram[0]
     eps0 = series.terms[0]
     assert len(eps0) == 1
     assert Fraction(gram0[0][0]) * eps0[0][0] == 1

@@ -1,17 +1,17 @@
 """KZ connection matrices, Kohno flatness, residue sums, and numeric parallel transport."""
 
-import cmath
 import itertools
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
+from wzw import cli
 from wzw.checks import KZ_LEVEL_MAX, KZ_NMAX
 from wzw.errors import InputError
-from wzw.fusion import alphabet, fusion_coeff
 from wzw.kz import KZSystem, flatness_check, kz_system, parallel_transport, residue_check
-from wzw.liealg import build_root_system, casimir_eigenvalue, sl2_irrep_matrices
+from wzw.liealg import sl2_irrep_matrices
 from wzw.oracle import CoinvariantProblem, npoint_block_ranks
 
 F = Fraction
@@ -208,48 +208,31 @@ def test_all_two_point_systems_are_scalars():
                 assert flatness_check(system)
 
 
-def _det(m):
-    """Leibniz determinant of a small square matrix."""
-    total = 0j
-    for perm in itertools.permutations(range(len(m))):
-        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(m)), 2))
-        total += (-1) ** inversions * math.prod(m[i][perm[i]] for i in range(len(m)))
-    return total
+# z_0 circles z_1 alone, counterclockwise
+LOOP = [(3, 1, -1, -3), (1 + 2j, 1, -1, -3), (-0.2, 1, -1, -3), (1 - 2j, 1, -1, -3),
+        (3, 1, -1, -3)]
+TRUNCATED_SYSTEMS = [(1, (1, 1, 1, 1)), (2, (2, 2, 2, 2)), (2, (1, 1, 2, 2)),
+                     (3, (2, 2, 2, 2))]
 
 
-def _fusion_holonomy_det(level, labels):
-    """det of the level-l block monodromy of z_0 once around z_1 alone.
-
-    On the channel nu of V_a (x) V_b it acts by exp(2 pi i (h_a + h_b - h_nu)),
-    h = Casimir / 2(l + 2), once for each block N(a, b, nu) N(nu, c, d).
-    """
-    rs = build_root_system("A", 1)
-    alph = alphabet(rs, level)
-    a, b, c, d = labels
-
-    def h(m):
-        return casimir_eigenvalue(rs, (m,)) / (2 * (level + 2))
-
-    phase = sum(fusion_coeff(alph, (a,), (b,), (nu,)) * fusion_coeff(alph, (nu,), (c,), (d,))
-                * (h(a) + h(b) - h(nu)) for nu in range(level + 1))
-    return cmath.exp(2j * math.pi * phase)
-
-
-HOLONOMY_SYSTEMS = [(1, (1, 1, 1, 1)), (2, (2, 2, 2, 2)), (2, (1, 1, 2, 2)), (3, (2, 2, 2, 2))]
-
-
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="a truncated system is the quotient at one base "
-                   "point, so its transport is not the block holonomy")
-@pytest.mark.parametrize("level,labels", HOLONOMY_SYSTEMS,
+@pytest.mark.parametrize("level,labels", TRUNCATED_SYSTEMS,
                          ids=[f"l{level}-{','.join(map(str, labels))}"
-                              for level, labels in HOLONOMY_SYSTEMS])
-def test_truncated_holonomy_matches_the_fusion_rules(level, labels):
-    # z_0 circles z_1 alone, counterclockwise
-    loop = [(3, 1, -1, -3), (1 + 2j, 1, -1, -3), (-0.2, 1, -1, -3), (1 - 2j, 1, -1, -3),
-            (3, 1, -1, -3)]
+                              for level, labels in TRUNCATED_SYSTEMS])
+def test_truncated_transport_is_refused(level, labels, tmp_path, capsys):
+    # a truncated system is the quotient at one base point, so its transport
+    # is not the block holonomy: on LOOP at l=1, labels 1,1,1,1, it gave
+    # e^{-i pi/3} where the level-1 fusion rules give -1
     system = kz_system(level, labels)
     assert system.truncated
-    res = parallel_transport(system, loop, steps=4000)
-    assert res.converged
-    assert abs(_det(res.matrix) - _fusion_holonomy_det(level, labels)) < 1e-6
+    with pytest.raises(InputError, match="truncation is not supported"):
+        parallel_transport(system, LOOP, steps=4000)
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(
+        {"points": [[[complex(z).real, complex(z).imag] for z in config] for config in LOOP]}))
+    code = cli.main(["kz", "transport", "--level", str(level),
+                     "--labels", ",".join(map(str, labels)), "--path", str(path)])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert out.err.startswith("error:") and out.err.count("\n") == 1
+    assert "wzw oracle npoint" in out.err
