@@ -126,7 +126,22 @@ def _cmd_dehn(args):
     return payload, list(payload.items()), 0
 
 
+def _read_flags(args, name: str, reads: dict, optional) -> dict:
+    """The flags `name` reads, defaults filled in; any other of `optional` given is an error.
+
+    Each flag in `optional` defaults to None in the parser, so a flag given on
+    the command line is told apart from one left out.
+    """
+    for flag in optional:
+        if getattr(args, flag) is not None and flag not in reads:
+            raise InputError(f"{name} does not read --{flag}")
+    return {flag: default if getattr(args, flag) is None else getattr(args, flag)
+            for flag, default in reads.items()}
+
+
 def _cmd_oracle(args):
+    reads = {} if args.problem == "three-point" else {"points": ""}
+    flags = _read_flags(args, f"oracle {args.problem}", reads, ("points",))
     if args.problem == "three-point":
         marks = _parse_ints(args.labels)
         if len(marks) != 3:
@@ -135,13 +150,13 @@ def _cmd_oracle(args):
         payload = {"rank": rank, "classical_rank": classical}
     elif args.problem == "npoint":
         marks = _parse_ints(args.labels)
-        points = _parse_points(args.points)
+        points = _parse_points(flags["points"])
         rank, classical = npoint_block_ranks(
             CoinvariantProblem(args.level, marks, points))
         payload = {"rank": rank, "classical_rank": classical}
     else:
         marks = _parse_ints(args.labels)
-        points = _parse_points(args.points)
+        points = _parse_points(flags["points"])
         payload = {"preserved": propagation_check(args.level, marks, points)}
     return payload, list(payload.items()), 0
 
@@ -205,11 +220,10 @@ def _load_path(filename: str, n: int) -> list:
     return waypoints
 
 
-def _cmd_kz_transport(args):
+def _cmd_kz_transport(args, path, steps, tolerance):
     system = _kz_system(args)
-    waypoints = _load_path(args.path, system.n)
-    res = parallel_transport(system, waypoints, steps=args.steps,
-                             tolerance=args.tolerance)
+    waypoints = _load_path(path, system.n)
+    res = parallel_transport(system, waypoints, steps=steps, tolerance=tolerance)
     payload = {"matrix": [[[v.real, v.imag] for v in row] for row in res.matrix],
                "steps": res.steps, "path": res.path,
                "error_estimate": res.error_estimate, "converged": res.converged}
@@ -219,10 +233,17 @@ def _cmd_kz_transport(args):
     return payload, rows, 0
 
 
+# the flags each kz action reads beyond --algebra, --level and --labels
+_KZ_FLAGS = {"matrices": {},
+             "transport": {"path": None, "steps": 10000, "tolerance": 1e-6}}
+
+
 def _cmd_kz(args):
+    flags = _read_flags(args, f"kz {args.action}", _KZ_FLAGS[args.action],
+                        ("path", "steps", "tolerance"))
     if args.action == "matrices":
         return _cmd_kz_matrices(args)
-    return _cmd_kz_transport(args)
+    return _cmd_kz_transport(args, **flags)
 
 
 # the flags each verify target reads, with their defaults; the named checks read none
@@ -231,18 +252,9 @@ _VERIFY_FLAGS = {"virasoro": {"kmax": checks.VIRASORO_KMAX, "degree": checks.VIR
                               "degree": checks.SUGAWARA_DEGREE}}
 
 
-def _verify_flags(args) -> dict:
-    """The target's flags with defaults filled in; a flag it does not read is an error."""
-    reads = _VERIFY_FLAGS.get(args.what, {})
-    for flag in ("kmax", "degree", "algebra", "level", "label"):
-        if getattr(args, flag) is not None and flag not in reads:
-            raise InputError(f"verify {args.what} does not read --{flag}")
-    return {flag: default if getattr(args, flag) is None else getattr(args, flag)
-            for flag, default in reads.items()}
-
-
 def _cmd_verify(args):
-    flags = _verify_flags(args)
+    flags = _read_flags(args, f"verify {args.what}", _VERIFY_FLAGS.get(args.what, {}),
+                        ("kmax", "degree", "algebra", "level", "label"))
     if args.what == "virasoro":
         rows = checks.virasoro_rows(flags["kmax"], flags["degree"])
     elif args.what == "sugawara":
@@ -300,7 +312,7 @@ def build_parser() -> _Parser:
     p.add_argument("problem", choices=("three-point", "npoint", "propagation"))
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--labels", required=True, help="e.g. 1,1,0")
-    p.add_argument("--points", default="", help="rational points, e.g. 0,1,3/2")
+    p.add_argument("--points", help="rational points, e.g. 0,1,3/2")
     add_format(p)
     p.set_defaults(handler=_cmd_oracle)
 
@@ -311,8 +323,8 @@ def build_parser() -> _Parser:
     p.add_argument("--labels", required=True, help="e.g. 1,1,2")
     p.add_argument("--path", help="JSON file {points: [[ [re,im], ...], ...], "
                    "closed: bool} (transport only)")
-    p.add_argument("--steps", type=int, default=10000)
-    p.add_argument("--tolerance", type=float, default=1e-6)
+    p.add_argument("--steps", type=int)
+    p.add_argument("--tolerance", type=float)
     add_format(p)
     p.set_defaults(handler=_cmd_kz)
 

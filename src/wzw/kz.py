@@ -23,7 +23,12 @@ from .linalg import IntSpan, commutator, identity, is_zero, mat_sub, strides, tr
 
 
 class _TensorOps:
-    """Sparse slot-wise operator application on V_1 (x) ... (x) V_n."""
+    """Sparse slot-wise operator application on V_1 (x) ... (x) V_n.
+
+    The nonzero entries of each slot's E, F and H are tabulated once:
+    moves[slot][gen][j] lists the (flat offset, coefficient) pairs of the
+    image of v_j, so an application walks the nonzero entries only.
+    """
 
     def __init__(self, labels):
         self.labels = labels
@@ -32,36 +37,39 @@ class _TensorOps:
         self.D = 1
         for d in self.dims:
             self.D *= d
-        self.reps = [sl2_irrep_matrices(m) for m in labels]
+        self.moves = []
+        for m, st in zip(labels, self.strides):
+            reps = sl2_irrep_matrices(m)
+            self.moves.append({gen: [[((i - j) * st, mat[i][j])
+                                      for i in range(m + 1) if mat[i][j]]
+                                     for j in range(m + 1)]
+                               for gen, mat in (("E", reps.E), ("F", reps.F),
+                                                ("H", reps.H))})
 
-    def apply_slot(self, vec: dict, slot: int, mat) -> dict:
-        out: dict = {}
-        st, dim = self.strides[slot], self.dims[slot]
+    def apply_slot(self, vec: dict, slot: int, gen: str, scale=1, out=None) -> dict:
+        """Add scale * gen acting in `slot` on vec into out (a new dict by default).
+
+        The returned dict may hold zeros; the callers below drop them once.
+        """
+        out = {} if out is None else out
+        st, dim, moves = self.strides[slot], self.dims[slot], self.moves[slot][gen]
         for idx, c in vec.items():
-            j = (idx // st) % dim
-            for i in range(dim):
-                v = mat[i][j]
-                if v:
-                    nidx = idx + (i - j) * st
-                    out[nidx] = out.get(nidx, 0) + c * v
-        return {k: v for k, v in out.items() if v}
+            c *= scale
+            for off, v in moves[(idx // st) % dim]:
+                out[idx + off] = out.get(idx + off, 0) + c * v
+        return out
 
     def diagonal(self, vec: dict, gen: str) -> dict:
         out: dict = {}
         for s in range(len(self.labels)):
-            for k, v in self.apply_slot(vec, s, getattr(self.reps[s], gen)).items():
-                out[k] = out.get(k, 0) + v
+            self.apply_slot(vec, s, gen, 1, out)
         return {k: v for k, v in out.items() if v}
 
     def casimir_pair(self, vec: dict, i: int, j: int) -> dict:
         # 2 c^(ij) = 2 E_i F_j + 2 F_i E_j + H_i H_j, integral on integral vectors
         out: dict = {}
-        for a, b, coef in ((self.reps[i].E, self.reps[j].F, 2),
-                           (self.reps[i].F, self.reps[j].E, 2),
-                           (self.reps[i].H, self.reps[j].H, 1)):
-            tmp = self.apply_slot(self.apply_slot(vec, j, b), i, a)
-            for k, v in tmp.items():
-                out[k] = out.get(k, 0) + coef * v
+        for a, b, coef in (("E", "F", 2), ("F", "E", 2), ("H", "H", 1)):
+            self.apply_slot(self.apply_slot(vec, j, b), i, a, coef, out)
         return {k: v for k, v in out.items() if v}
 
     def t_power(self, vec: dict, z, power: int) -> dict:
@@ -70,8 +78,7 @@ class _TensorOps:
                 break
             out: dict = {}
             for s in range(len(self.labels)):
-                for k, v in self.apply_slot(vec, s, self.reps[s].E).items():
-                    out[k] = out.get(k, 0) + z[s] * v
+                self.apply_slot(vec, s, "E", z[s], out)
             vec = {k: v for k, v in out.items() if v}
         return vec
 

@@ -10,8 +10,9 @@ package goes through here.  Two layers:
   A product of integer matrices stays integer;
 * ``IntSpan``, an incremental fraction-free row-space accumulator over the
   integers, used for the large sparse rank computations in the oracle, kz and
-  fock.  Rows are combined by integer cross-multiplication and renormalized
-  by their gcd, so no rounding or rank tolerance ever enters.
+  fock.  Rows are combined by integer cross-multiplication; the working row
+  is stripped of its gcd only after a step that scaled it, and a stored row
+  always is, so no rounding or rank tolerance ever enters.
 
 ``strides`` gives the row-major strides that flatten a multi-index on a
 tensor product V_1 (x) ... (x) V_n into one basis index.
@@ -129,9 +130,12 @@ def _gcd_normalize(row: dict[int, int]) -> dict[int, int]:
 class IntSpan:
     """Incremental row space over the integers, fraction-free.
 
-    Insertion reduces the new row against the stored pivot rows by integer
-    cross-multiplication (r <- r*p_lead - p*r_lead), stripping gcds to keep
-    entries small.  rank() is exact; no division happens until never.
+    Insertion reduces a copy of the new row against the stored pivot rows.
+    With pivot lead a and row lead b, both are first divided by g = gcd(a, b);
+    the step is r <- (a/g) r - (b/g) p, and it walks the pivot's entries only.
+    The working row is scaled, and its gcd stripped, only when a/g != 1; the
+    row that is stored is always stripped of its gcd and given a positive
+    lead.  rank() is exact; no rounding or rank tolerance ever enters.
     """
 
     def __init__(self) -> None:
@@ -142,7 +146,10 @@ class IntSpan:
         return len(self.pivots)
 
     def add(self, row: dict[int, int]) -> bool:
-        """Insert a sparse integer row; returns True iff the rank grew."""
+        """Insert a sparse integer row; returns True iff the rank grew.
+
+        The argument is not modified.
+        """
         row = {c: v for c, v in row.items() if v}
         while row:
             lead = min(row)
@@ -151,12 +158,18 @@ class IntSpan:
                 self.pivots[lead] = _gcd_normalize(row)
                 return True
             a, b = piv[lead], row[lead]
-            new = {}
-            for c in row.keys() | piv.keys():
-                v = a * row.get(c, 0) - b * piv.get(c, 0)
-                if v:
-                    new[c] = v
-            row = _gcd_normalize(new) if new else new
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                row = {c: a * v for c, v in row.items()}
+            for c, v in piv.items():
+                nv = row.get(c, 0) - b * v
+                if nv:
+                    row[c] = nv
+                else:
+                    del row[c]
+            if a != 1 and row:
+                row = _gcd_normalize(row)
         return False
 
     def reduce(self, row: dict[int, Fraction]) -> dict[int, Fraction]:

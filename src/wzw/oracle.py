@@ -11,7 +11,9 @@ The genus-zero characterization implemented verbatim: the three-point block
 is the biggest quotient of V_1 (x) V_2 (x) V_3 killed by the diagonal action
 and by every E^p (x) E^q (x) E^r with p+q+r > l; the n-point block at distinct
 points z_i is the quotient of the classical coinvariants by the image of
-(sum_i z_i E^(i))^(1+l).
+(sum_i z_i E^(i))^(1+l).  T = sum_i z_i E^(i) is tabulated once per query as a
+sparse table, one list of (target, z_i j(m-j+1)) pairs per basis vector, and
+the image of each basis vector is read off by l+1 passes through the table.
 """
 
 from __future__ import annotations
@@ -128,25 +130,21 @@ def npoint_block_ranks(problem: CoinvariantProblem) -> tuple[int, int]:
         span.add(row)
     classical = total - span.rank
 
-    # image of T^{1+l}, T = sum_i z_i E^{(i)}, by iterated application
-    def apply_t(vec: dict[int, int]) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for flat, coeff in vec.items():
-            idx = []
-            rest = flat
-            for s in stride:
-                idx.append(rest // s)
-                rest %= s
-            for slot, (m, j) in enumerate(zip(labels, idx)):
-                if j >= 1:
-                    tgt = flat - stride[slot]
-                    out[tgt] = out.get(tgt, 0) + coeff * zint[slot] * j * (m - j + 1)
-        return {k: v for k, v in out.items() if v}
+    # T = sum_i z_i E^{(i)} as a sparse table: the (target, coefficient)
+    # pairs of the image of each basis vector, E v_j = j(m-j+1) v_{j-1}
+    t_table = [[(flat - stride[slot], zint[slot] * j * (m - j + 1))
+                for slot, (m, j) in enumerate(zip(labels, idx)) if j >= 1 and zint[slot]]
+               for flat, idx in enumerate(product(*(range(d) for d in dims)))]
 
+    # image of T^{1+l} by iterated application
     for start in range(total):
         vec = {start: 1}
         for _ in range(problem.level + 1):
-            vec = apply_t(vec)
+            out: dict[int, int] = {}
+            for flat, coeff in vec.items():
+                for tgt, w in t_table[flat]:
+                    out[tgt] = out.get(tgt, 0) + coeff * w
+            vec = {k: v for k, v in out.items() if v}
             if not vec:
                 break
         if vec:

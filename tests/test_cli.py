@@ -347,6 +347,34 @@ def test_verify_rejects_a_flag_the_target_does_not_read(argv, flag):
     assert out.stderr == f"error: verify {argv[0]} does not read {flag}\n"
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (("oracle", "three-point", "--labels", "1,1,0", "--points=0,1,2"), "--points"),
+    (("kz", "matrices", "--labels", "1,1", "--steps", "5"), "--steps"),
+    (("kz", "matrices", "--labels", "1,1", "--path", "missing.json", "--tolerance", "-1"),
+     "--path"),
+    (("kz", "matrices", "--labels", "1,1", "--tolerance", "1e-3"), "--tolerance"),
+], ids=["three-point --points", "matrices --steps", "matrices --path", "matrices --tolerance"])
+def test_a_flag_the_command_does_not_read_is_rejected(argv, flag):
+    # an unread flag is an error, not silently ignored
+    out = run_cli(*argv, "--level", "1")
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr == f"error: {argv[0]} {argv[1]} does not read {flag}\n"
+
+
+def test_kz_transport_flag_defaults(tmp_path, capsys):
+    # --steps 10000 and --tolerance 1e-6 when left out
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps({"points": [[[2, 0], [0, 0], [-2, 0]],
+                                           [[2, 1], [0, 0], [-2, 0]]], "closed": True}))
+    argv = ["kz", "transport", "--level", "2", "--labels", "1,1,2", "--path", str(path)]
+    assert cli.main(argv) == 0
+    default = capsys.readouterr().out
+    assert json.loads(default)["steps"] == 10000
+    assert cli.main(argv + ["--steps", "10000", "--tolerance", "1e-6"]) == 0
+    assert capsys.readouterr().out == default
+
+
 def test_verify_single_check_by_name():
     out = run_cli("verify", "virasoro-bracket")
     data = json.loads(out.stdout)

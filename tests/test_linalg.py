@@ -2,9 +2,11 @@
 
 import itertools
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wzw.linalg import (IntSpan, commutator, det, identity, invert, is_zero, mat_mul,
@@ -171,3 +173,65 @@ def test_intspan_reduce_is_a_projection(rows, probe):
     assert span.reduce(residual) == residual
     # the residual touches no pivot column
     assert not set(residual) & set(span.pivots)
+
+
+# entries up to 10^6 in size, so that pivot leads are rarely +-1 and add() takes
+# its scaled branch; small values and zeros make rows sparse and dependent
+coeff = st.one_of(st.integers(min_value=-10**6, max_value=10**6),
+                  st.integers(min_value=-3, max_value=3), st.just(0))
+
+
+@st.composite
+def int_rows(draw):
+    width = draw(st.integers(min_value=1, max_value=6))
+    rows = draw(st.lists(st.lists(coeff, min_size=width, max_size=width),
+                         min_size=1, max_size=6))
+    # integer combinations of earlier rows, which must reduce to zero
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        i, j = (draw(st.integers(min_value=0, max_value=len(rows) - 1)) for _ in "ij")
+        a, b = draw(coeff), draw(coeff)
+        rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
+    return rows
+
+
+def filled_span(rows):
+    span = IntSpan()
+    for row in rows:
+        span.add({j: v for j, v in enumerate(row) if v})
+    return span
+
+
+# pivot lead 2 against row lead 3: the row is scaled by 2 before the step
+SCALED = [[2, 3, 0], [3, 1, 5], [6, 0, 4], [0, 4, 6]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_rows())
+@example(SCALED)
+def test_intspan_pivots_are_the_dense_pivot_columns(rows):
+    assert sorted(filled_span(rows).pivots) == rref(rows)[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_rows())
+@example(SCALED)
+def test_intspan_stored_rows_are_primitive_with_a_positive_lead(rows):
+    for lead, piv in filled_span(rows).pivots.items():
+        assert min(piv) == lead and piv[lead] > 0
+        assert all(piv.values())
+        assert reduce(gcd, piv.values()) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_rows())
+@example(SCALED)
+def test_intspan_add_reports_growth_and_keeps_its_argument(rows):
+    span = IntSpan()
+    for row in rows:
+        arg = {j: v for j, v in enumerate(row) if v}
+        before = list(arg.items())
+        rank = span.rank
+        grew = span.add(arg)
+        assert list(arg.items()) == before
+        assert span.rank == rank + grew
+        assert grew is (span.rank > rank)

@@ -96,3 +96,16 @@ def test_input_validation():
         npoint_block_rank(CoinvariantProblem(1, (1, 1), None))
     with pytest.raises(InputError):
         three_point_rank(-1, 0, 0, 0)
+
+
+@pytest.mark.parametrize("level,labels,want", [
+    (4, (2, 2, 2, 2, 2, 2), (11, 15)),
+    (5, (3, 3, 3, 3, 2), (6, 9)),
+    (5, (4, 4, 4, 2), (1, 3)),
+])
+def test_benchmark_sized_ranks(level, labels, want):
+    # the Verlinde and Clebsch-Gordan numbers, at two point sets each
+    n = len(labels)
+    for z in (range(n), (-20, 17, Fraction(3, 2), -5, 11, 8)[:n]):
+        problem = CoinvariantProblem(level, labels, tuple(Fraction(p) for p in z))
+        assert npoint_block_ranks(problem) == want
