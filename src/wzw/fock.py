@@ -151,6 +151,7 @@ class InducedModule:
         self._form = algebra.form
         self._memo: dict = {}
         self._index: dict = {}
+        self._actions: dict = {}
 
     def basis(self, n: int):
         if n < 0:
@@ -224,8 +225,16 @@ class InducedModule:
         return GradedOperator(space=self, shift=shift, hi=hi, blocks=blocks)
 
     def action(self, m: int, g: int) -> "GradedOperator":
-        """X_g t^m as a GradedOperator (shift m) on the truncation."""
-        return self.operator(m, lambda elt: self.apply_gen(m, g, elt).items())
+        """X_g t^m as a GradedOperator (shift m) on the truncation, built once per (m, g).
+
+        Callers share the returned operator: `GradedOperator` arithmetic builds
+        new blocks and leaves the blocks of its operands as they are.
+        """
+        op = self._actions.get((m, g))
+        if op is None:
+            op = self._actions[m, g] = self.operator(
+                m, lambda elt: self.apply_gen(m, g, elt).items())
+        return op
 
     def __eq__(self, other):
         return (isinstance(other, InducedModule)

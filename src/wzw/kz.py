@@ -8,6 +8,11 @@ integer base point.  The block basis is the span's non-pivot columns and
 ``IntSpan.reduce`` is the quotient map; the classical coinvariant dimension
 is read off before the T^{l+1} rows go in.
 Parallel transport is the single floating-point boundary of the package.
+It runs RK4 at the requested steps and, for the halving error estimate, at
+half of them, in lockstep: two full steps, then one halved step.  The halved
+step is twice the full one bit for bit, so both runs read the connection form
+at the same float times, and each form is evaluated once and shared (3617
+forms on a 1600-step segment, where two separate runs took 7200).
 """
 
 from __future__ import annotations
@@ -266,51 +271,71 @@ def _segment_guard(p, q):
                 raise InputError(f"path touches the diagonal z_{i} = z_{j}")
 
 
-def _transport_fixed(system: KZSystem, waypoints, per_seg: int) -> list:
-    dim = system.dim
-    mats = {key: [[complex(v) for v in row] for row in m]
-            for key, m in system.a_matrices.items()}
-    y = [[1.0 + 0j if i == j else 0j for j in range(dim)] for i in range(dim)]
+def _omega(z, pairs, size: int) -> list:
+    """The form sum_ij c_ij A_ij at the configuration z, flat and row-major.
 
-    def omega(zt, dz):
-        om = [[0j] * dim for _ in range(dim)]
-        for (i, j), m in mats.items():
-            c = (dz[i] - dz[j]) / (zt[i] - zt[j])
-            if c:
-                for a in range(dim):
-                    ra, rm = om[a], m[a]
-                    for b in range(dim):
-                        ra[b] += c * rm[b]
+    `pairs` holds (i, j, dz_i - dz_j, flat A_ij) for the pairs that move,
+    in `a_matrices` order, and the sum starts from 0j.
+    """
+    om = [0j] * size
+    for i, j, dij, m in pairs:
+        c = dij / (z[i] - z[j])
+        if c:
+            om = [o + c * v for o, v in zip(om, m)]
+    return om
+
+
+def _transport_fixed(system: KZSystem, waypoints, per_seg: int) -> tuple:
+    """The RK4 holonomies at per_seg and at per_seg // 2 steps a segment (per_seg even).
+
+    The two runs go in lockstep: two full steps, then one halved step.  The
+    halved step H = 1/(per_seg // 2) is 2h bit for bit, so both runs read the
+    form at the same floats t.  Each form is evaluated once, keyed by t, and
+    dropped once t falls behind the halved run.
+    """
+    dim = system.dim
+    mats = {key: [complex(v) for row in m for v in row]
+            for key, m in system.a_matrices.items()}
+
+    def rows(flat):
+        return [flat[r * dim:(r + 1) * dim] for r in range(dim)]
+
+    def form(t):
+        om = forms.get(t)
+        if om is None:
+            om = forms[t] = rows(_omega([a + t * d for a, d in zip(p, dz)], pairs, dim * dim))
         return om
 
-    def mul(a, b):
-        cols = list(zip(*b))
-        return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
+    def mul(om, y):
+        cols = [y[c::dim] for c in range(dim)]
+        return [sum(map(operator.mul, row, col)) for row in om for col in cols]
 
+    def step(y, t0, h):
+        k1 = mul(form(t0), y)
+        # k2 and k3 are both taken at the midpoint
+        om_h = form(t0 + h / 2)
+        k2 = mul(om_h, [a + h / 2 * b for a, b in zip(y, k1)])
+        k3 = mul(om_h, [a + h / 2 * b for a, b in zip(y, k2)])
+        k4 = mul(form(t0 + h), [a + h * b for a, b in zip(y, k3)])
+        return [a + h / 6 * (b1 + 2 * b2 + 2 * b3 + b4)
+                for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+
+    full = half = [1.0 + 0j if r == c else 0j for r in range(dim) for c in range(dim)]
     for s in range(len(waypoints) - 1):
         p = [complex(x) for x in waypoints[s]]
         q = [complex(x) for x in waypoints[s + 1]]
         dz = [b - a for a, b in zip(p, q)]
         if all(abs(d) == 0 for d in dz):
             continue
-        h = 1.0 / per_seg
-        for step in range(per_seg):
-            t0 = step * h
-            z0 = [a + t0 * d for a, d in zip(p, dz)]
-            zh = [a + (t0 + h / 2) * d for a, d in zip(p, dz)]
-            z1 = [a + (t0 + h) * d for a, d in zip(p, dz)]
-            k1 = mul(omega(z0, dz), y)
-            y1 = [[y[i][j] + h / 2 * k1[i][j] for j in range(dim)] for i in range(dim)]
-            # k2 and k3 are both taken at the midpoint
-            om_h = omega(zh, dz)
-            k2 = mul(om_h, y1)
-            y2 = [[y[i][j] + h / 2 * k2[i][j] for j in range(dim)] for i in range(dim)]
-            k3 = mul(om_h, y2)
-            y3 = [[y[i][j] + h * k3[i][j] for j in range(dim)] for i in range(dim)]
-            k4 = mul(omega(z1, dz), y3)
-            y = [[y[i][j] + h / 6 * (k1[i][j] + 2 * k2[i][j] + 2 * k3[i][j] + k4[i][j])
-                  for j in range(dim)] for i in range(dim)]
-    return y
+        pairs = [(i, j, dz[i] - dz[j], m) for (i, j), m in mats.items() if dz[i] - dz[j]]
+        forms = {}
+        h, big_h = 1.0 / per_seg, 1.0 / (per_seg // 2)
+        for k in range(per_seg // 2):
+            full = step(full, 2 * k * h, h)
+            full = step(full, (2 * k + 1) * h, h)
+            half = step(half, k * big_h, big_h)
+            forms = {t: om for t, om in forms.items() if t >= (k + 1) * big_h}
+    return rows(full), rows(half)
 
 
 def parallel_transport(system: KZSystem, path, steps: int = 1000,
@@ -340,8 +365,7 @@ def parallel_transport(system: KZSystem, path, steps: int = 1000,
                        [complex(x) for x in waypoints[s + 1]])
     segs = len(waypoints) - 1
     per_seg = max(2, 2 * ((steps + 2 * segs - 1) // (2 * segs))) if segs else 0
-    full = _transport_fixed(system, waypoints, per_seg)
-    half = _transport_fixed(system, waypoints, per_seg // 2)
+    full, half = _transport_fixed(system, waypoints, per_seg)
     err = max((abs(a - b) for ra, rb in zip(full, half) for a, b in zip(ra, rb)),
               default=0.0)
     desc = f"{len(waypoints)} waypoints, {segs} segments"

@@ -271,6 +271,16 @@ def test_golden_transport(tmp_path, level, labels, steps, digest):
     assert hashlib.sha256(out.stdout.encode()).hexdigest()[:16] == digest
 
 
+def test_kz_transport_of_a_zero_dimensional_block(tmp_path):
+    # 1 (x) 2 has no invariant, so the holonomy is the empty matrix
+    path = _benchmark_loop(tmp_path / "loop.json", 2)
+    out = run_cli("kz", "transport", "--level", "2", "--labels", "1,2", "--path", path)
+    assert out.returncode == 0, out.stderr
+    payload = json.loads(out.stdout)
+    assert payload["matrix"] == []
+    assert payload["error_estimate"] == 0.0 and payload["converged"] is True
+
+
 def test_oracle_rejects_repeated_points_as_written():
     out = run_cli("oracle", "npoint", "--level", "2", "--labels", "1,1",
                   "--points=1/3,1/3")

@@ -92,6 +92,21 @@ def test_action_respects_level_one_relations():
     assert sorted(blk[i][i] for i in range(2)) == [-1, 1]
 
 
+def test_action_is_built_once_and_left_unchanged_by_arithmetic():
+    # the operator is cached on the module, so every caller shares its blocks
+    module = induced_module(2, 1, 5)
+    op, other = module.action(-1, 0), module.action(1, 2)
+    assert module.action(-1, 0) is op and module.action(1, 2) is other
+    snapshot = [(a.factor, {n: dict(blk) for n, blk in a.blocks.items()})
+                for a in (op, other)]
+    commutator(op, other)
+    op.add(module.action(-1, 2)).sub(op.scale(Fraction(2, 3)))
+    op.scale(0).add(op)
+    other.compose(op).scale(-1).compose(sugawara_op(1, module))
+    assert [(a.factor, a.blocks) for a in (op, other)] == snapshot
+    assert module.action(-1, 0).blocks[2] and module.action(-1, 0) is op
+
+
 def test_quotient_graded_dimensions():
     for (level, mu), dims in QUOTIENT_DIMS.items():
         quot = integrable_quotient(induced_module(level, mu, 6))

@@ -1,13 +1,15 @@
 """KZ connection matrices, Kohno flatness, residue sums, and numeric parallel transport."""
 
+import cmath
 import itertools
 import json
 import math
+import operator
 from fractions import Fraction
 
 import pytest
 
-from wzw import cli
+from wzw import cli, kz
 from wzw.checks import KZ_LEVEL_MAX, KZ_NMAX
 from wzw.errors import InputError
 from wzw.kz import KZSystem, flatness_check, kz_system, parallel_transport, residue_check
@@ -236,3 +238,103 @@ def test_truncated_transport_is_refused(level, labels, tmp_path, capsys):
     assert out.out == ""
     assert out.err.startswith("error:") and out.err.count("\n") == 1
     assert "wzw oracle npoint" in out.err
+
+
+def reference_transport_fixed(system, waypoints, per_seg):
+    """The RK4 holonomy as it was before the lockstep runs: one run at per_seg
+    steps a segment, three fresh forms a step, rows of complex numbers."""
+    dim = system.dim
+    mats = {key: [[complex(v) for v in row] for row in m]
+            for key, m in system.a_matrices.items()}
+    y = [[1.0 + 0j if i == j else 0j for j in range(dim)] for i in range(dim)]
+
+    def omega(zt, dz):
+        om = [[0j] * dim for _ in range(dim)]
+        for (i, j), m in mats.items():
+            c = (dz[i] - dz[j]) / (zt[i] - zt[j])
+            if c:
+                for a in range(dim):
+                    ra, rm = om[a], m[a]
+                    for b in range(dim):
+                        ra[b] += c * rm[b]
+        return om
+
+    def mul(a, b):
+        cols = list(zip(*b))
+        return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
+
+    for s in range(len(waypoints) - 1):
+        p = [complex(x) for x in waypoints[s]]
+        q = [complex(x) for x in waypoints[s + 1]]
+        dz = [b - a for a, b in zip(p, q)]
+        if all(abs(d) == 0 for d in dz):
+            continue
+        h = 1.0 / per_seg
+        for step in range(per_seg):
+            t0 = step * h
+            z0 = [a + t0 * d for a, d in zip(p, dz)]
+            zh = [a + (t0 + h / 2) * d for a, d in zip(p, dz)]
+            z1 = [a + (t0 + h) * d for a, d in zip(p, dz)]
+            k1 = mul(omega(z0, dz), y)
+            y1 = [[y[i][j] + h / 2 * k1[i][j] for j in range(dim)] for i in range(dim)]
+            om_h = omega(zh, dz)
+            k2 = mul(om_h, y1)
+            y2 = [[y[i][j] + h / 2 * k2[i][j] for j in range(dim)] for i in range(dim)]
+            k3 = mul(om_h, y2)
+            y3 = [[y[i][j] + h * k3[i][j] for j in range(dim)] for i in range(dim)]
+            k4 = mul(omega(z1, dz), y3)
+            y = [[y[i][j] + h / 6 * (k1[i][j] + 2 * k2[i][j] + 2 * k3[i][j] + k4[i][j])
+                  for j in range(dim)] for i in range(dim)]
+    return y
+
+
+def benchmark_loop(s, n):
+    """The perfbench loop scaled by s: z_0 once around z_1 = 0, the rest at -2, -4, ..."""
+    rest = [-2 * k for k in range(1, n - 1)]
+    corners = [(2, 0), (2, 3), (-1, 3), (-1, -3), (2, -3), (2, 0)]
+    return [tuple([complex(s * x, s * y), 0] + rest) for x, y in corners]
+
+
+def moving_path(n):
+    """A closed path on which every point moves on every segment, so every pair is summed."""
+    base = [complex(3 - 2 * k, 0.3 * k) for k in range(n)]
+    return [tuple(base)] + [tuple(z + 0.4 * cmath.exp(1j * (1.7 * r + k)) * (k + 1) / n
+                                  for k, z in enumerate(base)) for r in (1, 2, 3)] + [tuple(base)]
+
+
+# (level, labels, path, per_seg): block dimensions 1, 3 and 4
+LOCKSTEP_CASES = [
+    (2, (1, 1, 2), benchmark_loop(0.8, 3), 1600),
+    (2, (1, 1, 2), moving_path(3), 1600),
+    (4, (2, 2, 2, 2), benchmark_loop(1.0, 4), 400),
+    (4, (2, 2, 2, 2), benchmark_loop(1.2, 4), 2),
+    (4, (2, 2, 2, 2), moving_path(4), 246),
+    (4, (1, 1, 2, 2, 2), benchmark_loop(1.0, 5), 246),
+    (4, (1, 1, 2, 2, 2), moving_path(5), 2),
+]
+
+
+@pytest.mark.parametrize("level,labels,path,per_seg", LOCKSTEP_CASES,
+                         ids=[f"l{c[0]}-{','.join(map(str, c[1]))}-{c[3]}-{i}"
+                              for i, c in enumerate(LOCKSTEP_CASES)])
+def test_lockstep_transport_is_bit_identical_to_two_separate_runs(level, labels, path, per_seg):
+    system = kz_system(level, labels)
+    assert system.dim in (1, 3, 4) and not system.truncated
+    want = (reference_transport_fixed(system, path, per_seg),
+            reference_transport_fixed(system, path, per_seg // 2))
+    assert repr(kz._transport_fixed(system, path, per_seg)) == repr(want)
+
+
+def test_lockstep_transport_evaluates_each_form_once(monkeypatch):
+    # two separate runs take 3 * (1600 + 800) = 7200 forms on a 1600-step
+    # segment; in lockstep the runs share every form at the same float t
+    calls = []
+    omega = kz._omega
+
+    def counted(*args):
+        calls.append(args)
+        return omega(*args)
+
+    monkeypatch.setattr(kz, "_omega", counted)
+    kz._transport_fixed(kz_system(2, (1, 1, 2)), benchmark_loop(1.0, 3)[:2], 1600)
+    assert len(calls) <= 3700
