@@ -10,6 +10,7 @@ configurations use a fixed seed, keeping output byte-identical across runs.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import random
@@ -295,7 +296,8 @@ def _max_diff(a, b) -> float:
 
 def kz_transport() -> CheckResult:
     """Holonomy of the numeric KZ transport: identity on contractible loops,
-    homotopy invariance, and fourth-order step convergence."""
+    homotopy invariance, Liouville's det = exp(2 pi i tr A_01) once around
+    z_1, and fourth-order step convergence."""
     system = kz_system(2, (1, 1, 2))
     rows, bad = [], []
 
@@ -318,10 +320,19 @@ def kz_transport() -> CheckResult:
 
     around = [(2, 0, -2), (2 + 3j, 0, -2), (-1 + 3j, 0, -2), (-1 - 3j, 0, -2),
               (2 - 3j, 0, -2), (2, 0, -2)]
-    monodromy = _max_diff(parallel_transport(system, around, steps=TRANSPORT_STEPS).matrix,
+    encircling = parallel_transport(system, around, steps=TRANSPORT_STEPS)
+    monodromy = _max_diff(encircling.matrix,
                           parallel_transport(system, loop, steps=TRANSPORT_STEPS).matrix)
     rows.append({"name": "encircling-loop", "difference": monodromy})
     if monodromy < 1e-3:
+        bad.append(rows[-1])
+
+    # Liouville: det Y = exp of the integral of tr Omega, and on `around` only
+    # z_0 - z_1 winds, once counterclockwise
+    trace = sum(system.a_matrices[(0, 1)][r][r] for r in range(system.dim))
+    gap = abs(encircling.determinant - cmath.exp(2j * math.pi * float(trace)))
+    rows.append({"name": "liouville-determinant", "trace": str(trace), "gap": gap})
+    if gap > TRANSPORT_TOLERANCE:
         bad.append(rows[-1])
 
     # convergence order must be read off at coarse steps: finer grids sit at

@@ -36,9 +36,11 @@ all read through it.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from types import MappingProxyType
 
 from .errors import InputError, InternalError
 from .liealg import sl2_irrep_matrices
@@ -125,6 +127,10 @@ def _colored_partitions(n: int, colors: int) -> tuple[tuple[tuple[int, int], ...
     return tuple(sorted(out))
 
 
+# the one read-only result of every X t^m that kills its element
+_NO_TERMS = MappingProxyType({})
+
+
 class InducedModule:
     """Level-l module induced from the (mu+1)-dim irrep of a current algebra, truncated at d.
 
@@ -168,8 +174,11 @@ class InducedModule:
             self._index[n] = {e: i for i, e in enumerate(self.basis(n))}
         return self._index[n]
 
-    def apply_gen(self, m: int, g: int, elt) -> dict:
-        """X_g t^m applied to a basis element; integer coefficients."""
+    def apply_gen(self, m: int, g: int, elt) -> Mapping:
+        """X_g t^m applied to a basis element; integer coefficients.
+
+        The result is memoized and shared; every empty one is `_NO_TERMS`.
+        """
         key = (m, g, elt)
         cached = self._memo.get(key)
         if cached is not None:
@@ -202,7 +211,7 @@ class InducedModule:
                     if kappa:
                         tgt = (rest, vi)
                         out[tgt] = out.get(tgt, 0) + m * kappa * self.level
-        out = {k: v for k, v in out.items() if v}
+        out = {k: v for k, v in out.items() if v} or _NO_TERMS
         self._memo[key] = out
         return out
 

@@ -1,8 +1,11 @@
 """The failure branch of each check: one fault, monkeypatched into a name the
 check imports, must fail the check and name the first failing case."""
 
+import cmath
+
 from wzw import checks
 from wzw.fock import GluingTensorSeries
+from wzw.kz import TransportResult
 
 
 def test_oracle_equivalence_names_its_first_disagreement(monkeypatch):
@@ -27,6 +30,26 @@ def test_kz_flatness_names_its_first_failure(monkeypatch):
     result = checks.kz_flatness()
     assert result.passed is False
     assert result.detail == "1/484 failures, first l=1,labels=(1, 1)"
+
+
+def test_kz_transport_names_the_liouville_row(monkeypatch):
+    real = checks.parallel_transport
+
+    def turned_around_z1(system, path, **kwargs):
+        # a phase on the holonomy around z_1 keeps it a non-identity monodromy
+        # but moves its determinant off exp(2 pi i tr A_01)
+        res = real(system, path, **kwargs)
+        if path[1] == (2 + 3j, 0, -2):
+            phase = cmath.exp(0.05j * cmath.pi)
+            res = TransportResult([[phase * v for v in row] for row in res.matrix],
+                                  res.steps, res.path, res.error_estimate, res.converged)
+        return res
+
+    monkeypatch.setattr(checks, "parallel_transport", turned_around_z1)
+    result = checks.kz_transport()
+    assert result.passed is False
+    assert result.detail.startswith("failed: liouville-determinant ({'name': "
+                                    "'liouville-determinant', 'trace': '-1/8', 'gap': 0.156")
 
 
 def test_gluing_recursion_counts_its_rows(monkeypatch):

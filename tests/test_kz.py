@@ -302,7 +302,8 @@ def moving_path(n):
                                   for k, z in enumerate(base)) for r in (1, 2, 3)] + [tuple(base)]
 
 
-# (level, labels, path, per_seg): block dimensions 1, 3 and 4
+# (level, labels, path, per_seg): block dimensions 1, 2, 3, 4, 5, 6 and 15,
+# each a differently shaped generated RK4 step
 LOCKSTEP_CASES = [
     (2, (1, 1, 2), benchmark_loop(0.8, 3), 1600),
     (2, (1, 1, 2), moving_path(3), 1600),
@@ -311,6 +312,10 @@ LOCKSTEP_CASES = [
     (4, (2, 2, 2, 2), moving_path(4), 246),
     (4, (1, 1, 2, 2, 2), benchmark_loop(1.0, 5), 246),
     (4, (1, 1, 2, 2, 2), moving_path(5), 2),
+    (2, (1, 1, 1, 1), moving_path(4), 40),
+    (3, (1, 1, 1, 1, 1, 1), benchmark_loop(1.0, 6), 10),
+    (5, (2, 2, 2, 2, 2), moving_path(5), 8),
+    (6, (2, 2, 2, 2, 2, 2), moving_path(6), 4),
 ]
 
 
@@ -319,10 +324,16 @@ LOCKSTEP_CASES = [
                               for i, c in enumerate(LOCKSTEP_CASES)])
 def test_lockstep_transport_is_bit_identical_to_two_separate_runs(level, labels, path, per_seg):
     system = kz_system(level, labels)
-    assert system.dim in (1, 3, 4) and not system.truncated
+    assert system.dim in (1, 2, 3, 4, 5, 6, 15) and not system.truncated
     want = (reference_transport_fixed(system, path, per_seg),
             reference_transport_fixed(system, path, per_seg // 2))
     assert repr(kz._transport_fixed(system, path, per_seg)) == repr(want)
+
+
+def test_transport_of_an_empty_block_is_empty():
+    system = kz_system(3, (3, 3, 3))
+    assert system.dim == 0 and not system.truncated
+    assert kz._transport_fixed(system, moving_path(3), 2) == ([], [])
 
 
 def test_lockstep_transport_evaluates_each_form_once(monkeypatch):
