@@ -6,26 +6,24 @@ rational numbers are printed as "p/q" strings except in `kz transport`,
 whose output is explicitly floating point. Runs with identical flags
 produce byte-identical output. Exit codes: 0 success, 1 rejected input, a
 failed verification or a closed stdout, 2 internal invariant violation.
+At module top only what parsing needs is imported; each handler imports the
+layers it calls, so `--help` and every command load no layer they do not run.
 """
 
 from __future__ import annotations
 
 import argparse
-import cmath
-import json
 import os
 import re
 import sys
-from fractions import Fraction
 
-from . import checks
 from .errors import InputError, InternalError
-from .fusion import alphabet, fusion_table
-from .kz import flatness_check, kz_system, parallel_transport
-from .liealg import root_system
-from .oracle import (CoinvariantProblem, npoint_block_ranks,
-                     propagation_check, three_point_ranks)
-from .surface import MarkedSurface, block_dimension, dehn_twist_eigenvalue
+
+# the names of checks.ALL_CHECKS, in order, so that building the parser loads
+# no layer; a test holds the two equal
+_CHECK_NAMES = ("virasoro-bracket", "sugawara-identities", "oracle-equivalence",
+                "fusion-axioms", "block-dimensions", "propagation", "dehn-twists",
+                "kz-flatness", "kz-transport", "gluing-recursion", "rank-z-independence")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,6 +72,7 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 def _parse_points(text: str) -> tuple[Fraction, ...]:
+    from fractions import Fraction
     try:
         return tuple(Fraction(p) for p in text.split(","))
     except (ValueError, ZeroDivisionError):
@@ -83,6 +82,7 @@ def _parse_points(text: str) -> tuple[Fraction, ...]:
 
 def _render(payload: dict, tsv_rows: list, fmt: str) -> str:
     """The stdout text of a result, whole, so that a failure prints none of it."""
+    import json
     try:
         if fmt == "json":
             return json.dumps(payload, indent=2) + "\n"
@@ -98,6 +98,8 @@ def _render(payload: dict, tsv_rows: list, fmt: str) -> str:
 # subcommand handlers: each returns (payload, tsv rows, exit code)
 
 def _cmd_fusion_table(args):
+    from .fusion import alphabet, fusion_table
+    from .liealg import root_system
     rs = root_system(args.algebra)
     alph = alphabet(rs, args.level)
     ring = fusion_table(alph)
@@ -112,6 +114,8 @@ def _cmd_fusion_table(args):
 
 
 def _cmd_dim(args):
+    from .liealg import root_system
+    from .surface import MarkedSurface, block_dimension
     rs = root_system(args.algebra)
     bound = _parse_weights(args.labels, rs.rank)
     dim = block_dimension(MarkedSurface(rs, args.level, args.genus, bound))
@@ -119,6 +123,8 @@ def _cmd_dim(args):
 
 
 def _cmd_dehn(args):
+    from .liealg import root_system
+    from .surface import dehn_twist_eigenvalue
     rs = root_system(args.algebra)
     mu = _parse_weight(args.label, rs.rank)
     tw = dehn_twist_eigenvalue(rs, args.level, mu)
@@ -140,6 +146,8 @@ def _read_flags(args, name: str, reads: dict, optional) -> dict:
 
 
 def _cmd_oracle(args):
+    from .oracle import (CoinvariantProblem, npoint_block_ranks,
+                         propagation_check, three_point_ranks)
     reads = {} if args.problem == "three-point" else {"points": ""}
     flags = _read_flags(args, f"oracle {args.problem}", reads, ("points",))
     if args.problem == "three-point":
@@ -162,11 +170,13 @@ def _cmd_oracle(args):
 
 
 def _frac_matrix(mat):
+    from fractions import Fraction
     return [[str(Fraction(v)) for v in row] for row in mat]
 
 
 def _kz_system(args):
     """The system of the flags, rejected when its level truncation is not flat."""
+    from .kz import flatness_check, kz_system
     if args.algebra != "A1":
         raise InputError(f"kz supports algebra A1 only, got {args.algebra!r}")
     system = kz_system(args.level, _parse_ints(args.labels))
@@ -195,6 +205,8 @@ def _cmd_kz_matrices(args):
 
 
 def _load_path(filename: str, n: int) -> list:
+    import cmath
+    import json
     try:
         with open(filename, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -221,6 +233,7 @@ def _load_path(filename: str, n: int) -> list:
 
 
 def _cmd_kz_transport(args, path, steps, tolerance):
+    from .kz import parallel_transport
     system = _kz_system(args)
     waypoints = _load_path(path, system.n)
     res = parallel_transport(system, waypoints, steps=steps, tolerance=tolerance)
@@ -246,24 +259,24 @@ def _cmd_kz(args):
     return _cmd_kz_transport(args, **flags)
 
 
-# the flags each verify target reads, with their defaults; the named checks read none
-_VERIFY_FLAGS = {"virasoro": {"kmax": checks.VIRASORO_KMAX, "degree": checks.VIRASORO_DEGREE},
-                 "sugawara": {"algebra": "A1", "level": 1, "label": 1,
-                              "degree": checks.SUGAWARA_DEGREE}}
-
-
 def _cmd_verify(args):
-    flags = _read_flags(args, f"verify {args.what}", _VERIFY_FLAGS.get(args.what, {}),
+    from .checks import (SUGAWARA_DEGREE, VIRASORO_DEGREE, VIRASORO_KMAX, run_all,
+                         sugawara_rows, virasoro_rows)
+    # the flags each verify target reads, with their defaults; the named checks read none
+    verify_flags = {"virasoro": {"kmax": VIRASORO_KMAX, "degree": VIRASORO_DEGREE},
+                    "sugawara": {"algebra": "A1", "level": 1, "label": 1,
+                                 "degree": SUGAWARA_DEGREE}}
+    flags = _read_flags(args, f"verify {args.what}", verify_flags.get(args.what, {}),
                         ("kmax", "degree", "algebra", "level", "label"))
     if args.what == "virasoro":
-        rows = checks.virasoro_rows(flags["kmax"], flags["degree"])
+        rows = virasoro_rows(flags["kmax"], flags["degree"])
     elif args.what == "sugawara":
         if flags["algebra"] != "A1":
             raise InputError(f"verify sugawara supports A1 only, got {flags['algebra']!r}")
-        rows = checks.sugawara_rows(flags["level"], flags["label"], flags["degree"])
+        rows = sugawara_rows(flags["level"], flags["label"], flags["degree"])
     else:
         names = None if args.what == "all" else [args.what]
-        results = checks.run_all(names)
+        results = run_all(names)
         payload = {"checks": [r.to_report() for r in results]}
         tsv = [(c["name"], c["status"], c["detail"]) for c in payload["checks"]]
         code = 0 if all(r.passed for r in results) else 1
@@ -329,8 +342,7 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_kz)
 
     p = sub.add_parser("verify", help="identity checks; 'all' runs the full suite")
-    p.add_argument("what", choices=("all", "virasoro", "sugawara")
-                   + tuple(name for name, _ in checks.ALL_CHECKS))
+    p.add_argument("what", choices=("all", "virasoro", "sugawara") + _CHECK_NAMES)
     p.add_argument("--kmax", type=int, help="virasoro only; default 3")
     p.add_argument("--degree", type=int,
                    help="window bound; defaults to 12 for virasoro, 6 for sugawara")

@@ -45,7 +45,11 @@ def _validate_labels(level, labels):
 
 
 def _diagonal_rows(labels):
-    """Images of every basis vector under diagonal E, F, H as sparse rows."""
+    """Images of every basis vector under diagonal E, F, H as sparse rows.
+
+    Shortest first: the H rows are single entries, so the longer rows added
+    after them reduce against unit pivots.  The order cannot change a rank.
+    """
     dims = [m + 1 for m in labels]
     stride = strides(dims)
     rows = []
@@ -60,7 +64,7 @@ def _diagonal_rows(labels):
                 f_row[flat + stride[slot]] = f_row.get(flat + stride[slot], 0) + 1
             h_row[flat] = h_row.get(flat, 0) + (m - 2 * j)
         rows.extend(r for r in (e_row, f_row, h_row) if any(r.values()))
-    return rows
+    return sorted(rows, key=len)
 
 
 def three_point_rank(level: int, m1: int, m2: int, m3: int) -> int:

@@ -4,6 +4,7 @@ source, what a command loads at start-up, and the surface of the public types.""
 import ast
 import importlib
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -72,16 +73,68 @@ def test_fast_paths_take_only_the_problem_api_from_the_oracle():
     assert not [name for src, name in package_imports("kz") if src == "oracle"]
 
 
+def _loaded_after(statement: str) -> tuple[list[str], str]:
+    """(package modules loaded, stdout before them) after `statement` runs under -S."""
+    code = ("import sys\n" + statement + "\nprint()\n"
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'wzw'))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)}, timeout=120)
+    assert out.returncode == 0, out.stderr
+    head, _, last = out.stdout.rstrip("\n").rpartition("\n")
+    return last.split(), head
+
+
 def test_cli_start_up_imports_no_code_generation():
     # dataclasses (with the inspect, ast, dis and tokenize it loads) and typing
     # add tens of milliseconds to every command.  -S keeps a site .pth preload
     # from importing them first and hiding a regression.
-    code = ("import sys, wzw.cli; "
-            "print(*sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": str(SRC.parent)}, timeout=60)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == []
+    _, found = _loaded_after(
+        "import wzw.cli\n"
+        "print(*sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    assert found.split() == []
+
+
+def test_building_the_parser_loads_no_layer():
+    # --help and argument errors are answered before any handler runs; the
+    # stdlib modules below are only loaded where a handler uses them
+    loaded, stdlib = _loaded_after(
+        "from wzw.cli import build_parser; build_parser()\n"
+        "print(*sorted({'json', 'fractions', 'decimal', 'cmath', 'random'}"
+        " & set(sys.modules)))")
+    assert loaded == ["wzw", "wzw.cli", "wzw.errors"]
+    assert stdlib.split() == []
+
+
+START = ["wzw", "cli", "errors"]
+FUSION = START + ["fusion", "liealg", "linalg"]
+KZ = START + ["kz", "liealg", "linalg"]
+LOOP = {"points": [[[2, 0], [0, 0], [-2, 0]], [[2, 1], [0, 0], [-2, 0]],
+                   [[3, 1], [0, 0], [-2, 0]], [[3, 0], [0, 0], [-2, 0]]], "closed": True}
+# each command in process, and the package modules it may load: the layers it
+# calls and what they import
+COMMAND_LAYERS = [
+    (("fusion-table", "--algebra", "A1", "--level", "2"), FUSION),
+    (("dim", "--algebra", "A1", "--level", "2", "--genus", "1"), FUSION + ["surface"]),
+    (("dehn", "--algebra", "A1", "--level", "2", "--label", "1"), FUSION + ["surface"]),
+    (("oracle", "three-point", "--level", "1", "--labels", "1,1,0"),
+     START + ["linalg", "oracle"]),
+    (("oracle", "npoint", "--level", "1", "--labels", "1,1", "--points", "0,1"),
+     START + ["linalg", "oracle"]),
+    (("kz", "matrices", "--level", "2", "--labels", "1,1,2", "--format", "tsv"), KZ),
+    (("kz", "transport", "--level", "2", "--labels", "1,1,2", "--steps", "200"), KZ),
+    (("verify", "virasoro", "--kmax", "1", "--degree", "4"), ["wzw"] + MODULES),
+]
+
+
+@pytest.mark.parametrize("argv,layers", COMMAND_LAYERS,
+                         ids=[" ".join(argv[:2]) for argv, _ in COMMAND_LAYERS])
+def test_each_command_loads_only_the_layers_it_calls(tmp_path, argv, layers):
+    if argv[:2] == ("kz", "transport"):
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps(LOOP))
+        argv += ("--path", str(path))
+    loaded, _ = _loaded_after(f"from wzw.cli import main; assert main({list(argv)!r}) == 0")
+    assert loaded == sorted(name if name == "wzw" else f"wzw.{name}" for name in layers)
 
 
 A1 = root_system("A1")

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from wzw import cli
+from wzw import checks, cli
 from wzw.errors import InternalError
 
 
@@ -393,6 +393,31 @@ def test_verify_single_check_by_name():
     assert data["checks"][0]["status"] == "pass"
 
 
+def _verify_parser():
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    return sub.choices["verify"]
+
+
+def test_verify_offers_every_check_in_order():
+    what = next(a for a in _verify_parser()._actions if a.dest == "what")
+    assert what.choices == ("all", "virasoro", "sugawara") + tuple(
+        name for name, _ in checks.ALL_CHECKS)
+
+
+def test_verify_defaults_are_the_check_constants(monkeypatch):
+    calls = []
+    monkeypatch.setattr(checks, "virasoro_rows", lambda *a: calls.append(a) or [])
+    monkeypatch.setattr(checks, "sugawara_rows", lambda *a: calls.append(a) or [])
+    assert cli.main(["verify", "virasoro"]) == 0
+    assert cli.main(["verify", "sugawara"]) == 0
+    assert calls == [(checks.VIRASORO_KMAX, checks.VIRASORO_DEGREE),
+                     (1, 1, checks.SUGAWARA_DEGREE)]
+    helps = {a.dest: a.help for a in _verify_parser()._actions}
+    assert f"default {checks.VIRASORO_KMAX}" in helps["kmax"]
+    assert (f"{checks.VIRASORO_DEGREE} for virasoro, {checks.SUGAWARA_DEGREE} for sugawara"
+            in helps["degree"])
+
+
 def test_byte_identical_reruns():
     for args in (("fusion-table", "--algebra", "A2", "--level", "1"),
                  ("kz", "matrices", "--level", "1", "--labels", "1,1,1,1"),
@@ -416,7 +441,7 @@ def test_exit_code_one_on_bad_input():
 def test_exit_code_two_on_internal_error(monkeypatch, capsys):
     def boom(kmax, degree):
         raise InternalError("synthetic invariant violation")
-    monkeypatch.setattr(cli.checks, "virasoro_rows", boom)
+    monkeypatch.setattr(checks, "virasoro_rows", boom)
     code = cli.main(["verify", "virasoro"])
     assert code == 2
     assert "internal error" in capsys.readouterr().err
@@ -425,7 +450,7 @@ def test_exit_code_two_on_internal_error(monkeypatch, capsys):
 def test_exit_code_two_on_unexpected_exception(monkeypatch, capsys):
     def boom(kmax, degree):
         raise RuntimeError("synthetic bug")
-    monkeypatch.setattr(cli.checks, "virasoro_rows", boom)
+    monkeypatch.setattr(checks, "virasoro_rows", boom)
     code = cli.main(["verify", "virasoro"])
     captured = capsys.readouterr()
     assert code == 2

@@ -34,6 +34,17 @@ def test_three_point_inserts_each_truncation_target_once(monkeypatch):
     assert len(calls) <= 354 + 125
 
 
+def test_diagonal_rows_are_inserted_shortest_first(monkeypatch):
+    # the single-entry H rows go in first, so the E and F rows after them
+    # reduce against unit pivots
+    calls = []
+    add = IntSpan.add
+    monkeypatch.setattr(IntSpan, "add", lambda self, row: calls.append(row) or add(self, row))
+    three_point_ranks(4, 4, 4, 4)
+    lengths = [len(row) for row in calls[:354]]
+    assert lengths == sorted(lengths) and lengths[0] == 1
+
+
 def test_three_point_level_truncation_bites():
     # (1,1,0) fits at level 1; (1,1,2) needs level 2
     assert three_point_rank(1, 1, 1, 0) == 1
