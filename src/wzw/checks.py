@@ -6,28 +6,18 @@ report and CI agree by construction. `virasoro_rows` and `sugawara_rows`
 give the per-identity rows of `verify virasoro|sugawara`. Every check runs
 on fixed ranges, the module constants below, and randomized point
 configurations use a fixed seed, keeping output byte-identical across runs.
+
+Each check imports the layer functions it calls on its first lines, so a
+`verify` command loads only the layers its check runs.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
-import math
-import random
 from collections import namedtuple
 from fractions import Fraction
 
 from .errors import InputError
-from .fock import (SL2, check_current_bracket, check_sugawara_bracket, fock_space,
-                   gluing_tensor, induced_module, sugawara_op)
-from .fusion import alphabet, fusion_coeff, fusion_table
-from .kz import flatness_check, kz_system, parallel_transport, residue_check
-from .liealg import casimir_eigenvalue, dual_weight, root_system
-from .linalg import mat_mul, transpose
-from .oracle import (CoinvariantProblem, npoint_block_rank, propagation_check,
-                     three_point_rank)
-from .surface import (MarkedSurface, block_dimension, dehn_twist_eigenvalue,
-                      dumbbell_graph, four_point_graph, theta_graph)
 
 # fixed seed for the randomized z-configurations; the suite must be reproducible
 POINT_SEED = 271828
@@ -60,11 +50,12 @@ def _failures(cases: int, bad: list, noun: str) -> str:
     return f"{len(bad)}/{cases} {noun}, first {bad[0]}"
 
 
-def _sample_points(rng: random.Random, n: int) -> tuple[Fraction, ...]:
+def _sample_points(rng, n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in rng.sample(range(-40, 41), n))
 
 
 def virasoro_rows(kmax: int, degree: int) -> list[dict]:
+    from .fock import check_sugawara_bracket, fock_space
     if kmax < 0:
         raise InputError(f"kmax must be nonnegative, got {kmax}")
     rows = []
@@ -86,6 +77,8 @@ def virasoro_bracket() -> CheckResult:
 
 
 def sugawara_rows(level: int, mu: int, degree: int) -> list[dict]:
+    from .fock import (SL2, check_current_bracket, check_sugawara_bracket, induced_module,
+                       sugawara_op)
     module = induced_module(level, mu, degree)
     rows = []
     ks = range(-SUGAWARA_KMAX, SUGAWARA_KMAX + 1)
@@ -133,6 +126,9 @@ def sugawara_identities() -> CheckResult:
 
 def oracle_equivalence() -> CheckResult:
     """fusion_coeff agrees with the coinvariant three-point rank, all A1 triples."""
+    from .fusion import alphabet, fusion_coeff
+    from .liealg import root_system
+    from .oracle import three_point_rank
     rs = root_system("A1")
     cases, bad = 0, []
     for level in range(ORACLE_LEVEL_MAX + 1):
@@ -154,6 +150,8 @@ def fusion_axioms() -> CheckResult:
     violation; a ring of L labels counts L^2 unit and duality, L^3 symmetry
     and L^4 associativity instances.
     """
+    from .fusion import alphabet, fusion_table
+    from .liealg import root_system
     cases = [("A1", level) for level in range(5)] + [("A2", level) for level in range(3)]
     total = 0
     for name, level in cases:
@@ -167,6 +165,10 @@ def fusion_axioms() -> CheckResult:
 
 def block_dimensions() -> CheckResult:
     """Torus counts, graph independence, channel agreement, factorization."""
+    from .fusion import alphabet
+    from .liealg import dual_weight, root_system
+    from .surface import (MarkedSurface, block_dimension, dumbbell_graph, four_point_graph,
+                          theta_graph)
     rs = root_system("A1")
     cases, bad = 0, []
 
@@ -204,6 +206,12 @@ def block_dimensions() -> CheckResult:
 
 def propagation() -> CheckResult:
     """Appending a trivial label changes neither surface dims nor block ranks."""
+    import random
+
+    from .fusion import alphabet
+    from .liealg import root_system
+    from .oracle import propagation_check
+    from .surface import MarkedSurface, block_dimension
     rs = root_system("A1")
     cases, bad = 0, []
     for level in range(4):
@@ -234,6 +242,9 @@ def propagation() -> CheckResult:
 def dehn_twists() -> CheckResult:
     """Twist exponents, text forms, the -i special value, and the stated
     integrality of 3(l+h)r, which fails for A1 at odd labels."""
+    from .fusion import alphabet
+    from .liealg import casimir_eigenvalue, root_system
+    from .surface import dehn_twist_eigenvalue
     cases = [("A1", level) for level in range(1, 5)] + [("A2", level) for level in (1, 2)]
     rows, bad = [], []
     for name, level in cases:
@@ -268,6 +279,7 @@ def dehn_twists() -> CheckResult:
 
 def kz_flatness() -> CheckResult:
     """Kohno relations and residue sums for every A1 system in range."""
+    from .kz import flatness_check, kz_system, residue_check
     cases, bad = 0, []
     for level in range(KZ_LEVEL_MAX + 1):
         for n in range(2, KZ_NMAX + 1):
@@ -298,6 +310,10 @@ def kz_transport() -> CheckResult:
     """Holonomy of the numeric KZ transport: identity on contractible loops,
     homotopy invariance, Liouville's det = exp(2 pi i tr A_01) once around
     z_1, and fourth-order step convergence."""
+    import cmath
+    import math
+
+    from .kz import kz_system, parallel_transport
     system = kz_system(2, (1, 1, 2))
     rows, bad = [], []
 
@@ -359,6 +375,8 @@ def gluing_recursion() -> CheckResult:
     gluing_tensor has verified every recursion residual; the ones with
     dp <= dmax are counted from series.residuals.
     """
+    from .fock import gluing_tensor
+    from .linalg import mat_mul, transpose
     cases, bad = 0, []
     for mu in (0, 1):
         series = gluing_tensor(1, mu, GLUING_DEGREE)
@@ -372,6 +390,9 @@ def gluing_recursion() -> CheckResult:
 
 def rank_z_independence() -> CheckResult:
     """Block rank is the same for every choice of distinct marked points."""
+    import random
+
+    from .oracle import CoinvariantProblem, npoint_block_rank
     rng = random.Random(POINT_SEED)
     cases, bad = 0, []
     for level in range(3):

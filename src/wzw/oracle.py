@@ -14,6 +14,14 @@ points z_i is the quotient of the classical coinvariants by the image of
 (sum_i z_i E^(i))^(1+l).  T = sum_i z_i E^(i) is tabulated once per query as a
 sparse table, one list of (target, z_i j(m-j+1)) pairs per basis vector, and
 the image of each basis vector is read off by l+1 passes through the table.
+
+Only the weight-zero part of the span is eliminated.  Every spanning row has a
+single H-weight, and the H row of a basis vector of weight w != 0 is w times
+that vector, so the H rows span every nonzero-weight column and any row of
+nonzero weight reduces to zero against them.  A rank is therefore the number
+of weight-zero basis vectors minus the rank of the rows that land in weight
+zero: the E rows of the weight -2 vectors, the F rows of the weight +2 vectors,
+and the truncation targets or the T^(1+l) images of the weight -2(1+l) vectors.
 """
 
 from __future__ import annotations
@@ -44,27 +52,32 @@ def _validate_labels(level, labels):
             raise InputError(f"label {m} exceeds level {level}; not in the alphabet")
 
 
-def _diagonal_rows(labels):
-    """Images of every basis vector under diagonal E, F, H as sparse rows.
+def _classical_span(labels):
+    """Basis vectors grouped by H-weight, and the span of the diagonal rows.
 
-    Shortest first: the H rows are single entries, so the longer rows added
-    after them reduce against unit pivots.  The order cannot change a rank.
+    v_j in V_m has weight m - 2j, and a basis vector of the tensor product the
+    sum over its slots.  E raises a weight by 2 and F lowers it by 2, so the
+    diagonal E rows of the weight -2 vectors and the F rows of the weight +2
+    vectors are the ones that land in weight zero.  Returns (vectors by weight,
+    strides, span of those rows); a vector is a (flat index, multi-index) pair.
     """
-    dims = [m + 1 for m in labels]
-    stride = strides(dims)
-    rows = []
-    for idx in product(*(range(d) for d in dims)):
-        flat = sum(i * s for i, s in zip(idx, stride))
-        e_row, f_row, h_row = {}, {}, {}
-        for slot, (m, j) in enumerate(zip(labels, idx)):
-            if j >= 1:  # E v_j = j(m-j+1) v_{j-1}
-                e_row[flat - stride[slot]] = e_row.get(flat - stride[slot], 0) \
-                    + j * (m - j + 1)
-            if j < m:   # F v_j = v_{j+1}
-                f_row[flat + stride[slot]] = f_row.get(flat + stride[slot], 0) + 1
-            h_row[flat] = h_row.get(flat, 0) + (m - 2 * j)
-        rows.extend(r for r in (e_row, f_row, h_row) if any(r.values()))
-    return sorted(rows, key=len)
+    stride = strides([m + 1 for m in labels])
+    top = sum(labels)
+    spaces: dict[int, list] = {}
+    for flat, idx in enumerate(product(*(range(m + 1) for m in labels))):
+        spaces.setdefault(top - 2 * sum(idx), []).append((flat, idx))
+    rows = [{flat - stride[slot]: j * (m - j + 1)  # E v_j = j(m-j+1) v_{j-1}
+             for slot, (m, j) in enumerate(zip(labels, idx)) if j >= 1}
+            for flat, idx in spaces.get(-2, ())]
+    rows += [{flat + stride[slot]: 1  # F v_j = v_{j+1}
+              for slot, (m, j) in enumerate(zip(labels, idx)) if j < m}
+             for flat, idx in spaces.get(2, ())]
+    # latest lead column first: a row whose lead holds no pivot yet is stored
+    # without a reduction step.  The order cannot change a rank.
+    span = IntSpan()
+    for row in sorted(rows, key=min, reverse=True):
+        span.add(row)
+    return spaces, stride, span
 
 
 def three_point_rank(level: int, m1: int, m2: int, m3: int) -> int:
@@ -76,27 +89,22 @@ def three_point_ranks(level: int, m1: int, m2: int, m3: int) -> tuple[int, int]:
     """(block rank, classical coinvariant rank) for the 3-holed sphere."""
     labels = (m1, m2, m3)
     _validate_labels(level, labels)
-    dims = [m + 1 for m in labels]
-    stride = strides(dims)
-    total = dims[0] * dims[1] * dims[2]
-
-    span = IntSpan()
-    for row in _diagonal_rows(labels):
-        span.add(row)
-    classical = total - span.rank
+    spaces, stride, span = _classical_span(labels)
+    zero = {flat for flat, _ in spaces.get(0, ())}
+    classical = len(zero) - span.rank
 
     # E^p v_j is a nonzero multiple of v_{j-p} exactly when p <= j, so the
     # rows E^p (x) E^q (x) E^r applied to the basis span the basis vectors
-    # they hit; each is added once
+    # they hit; each weight-zero one is added once
     targets = set()
     for p, q, r in product(range(m1 + 1), range(m2 + 1), range(m3 + 1)):
         if p + q + r <= level:
             continue
-        for j1, j2, j3 in product(range(p, dims[0]), range(q, dims[1]), range(r, dims[2])):
+        for j1, j2, j3 in product(range(p, m1 + 1), range(q, m2 + 1), range(r, m3 + 1)):
             targets.add((j1 - p) * stride[0] + (j2 - q) * stride[1] + (j3 - r) * stride[2])
-    for tgt in sorted(targets):
+    for tgt in sorted(targets & zero):
         span.add({tgt: 1})
-    return total - span.rank, classical
+    return len(zero) - span.rank, classical
 
 
 def npoint_block_rank(problem: CoinvariantProblem) -> int:
@@ -123,27 +131,24 @@ def npoint_block_ranks(problem: CoinvariantProblem) -> tuple[int, int]:
         lcm = lcm // gcd(lcm, p.denominator) * p.denominator
     zint = tuple(int(p * lcm) for p in z)
 
-    dims = [m + 1 for m in labels]
-    stride = strides(dims)
-    total = 1
-    for d in dims:
-        total *= d
+    spaces, stride, span = _classical_span(labels)
+    zero = len(spaces.get(0, ()))
+    classical = zero - span.rank
 
-    span = IntSpan()
-    for row in _diagonal_rows(labels):
-        span.add(row)
-    classical = total - span.rank
-
-    # T = sum_i z_i E^{(i)} as a sparse table: the (target, coefficient)
-    # pairs of the image of each basis vector, E v_j = j(m-j+1) v_{j-1}
-    t_table = [[(flat - stride[slot], zint[slot] * j * (m - j + 1))
-                for slot, (m, j) in enumerate(zip(labels, idx)) if j >= 1 and zint[slot]]
-               for flat, idx in enumerate(product(*(range(d) for d in dims)))]
+    # T raises the weight by 2, so T^{1+l} takes exactly the vectors of weight
+    # -2(1+l) into weight zero, through the weights -2(1+l), ..., -2.  T as a
+    # sparse table on those: the (target, coefficient) pairs of the image of
+    # each, E v_j = j(m-j+1) v_{j-1}
+    steps = problem.level + 1
+    t_table = {flat: [(flat - stride[slot], zint[slot] * j * (m - j + 1))
+                      for slot, (m, j) in enumerate(zip(labels, idx))
+                      if j >= 1 and zint[slot]]
+               for weight in range(-2 * steps, 0, 2) for flat, idx in spaces.get(weight, ())}
 
     # image of T^{1+l} by iterated application
-    for start in range(total):
+    for start, _ in spaces.get(-2 * steps, ()):
         vec = {start: 1}
-        for _ in range(problem.level + 1):
+        for _ in range(steps):
             out: dict[int, int] = {}
             for flat, coeff in vec.items():
                 for tgt, w in t_table[flat]:
@@ -153,7 +158,7 @@ def npoint_block_ranks(problem: CoinvariantProblem) -> tuple[int, int]:
                 break
         if vec:
             span.add(vec)
-    return total - span.rank, classical
+    return zero - span.rank, classical
 
 
 def propagation_check(level: int, labels, z) -> bool:

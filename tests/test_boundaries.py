@@ -108,6 +108,7 @@ def test_building_the_parser_loads_no_layer():
 START = ["wzw", "cli", "errors"]
 FUSION = START + ["fusion", "liealg", "linalg"]
 KZ = START + ["kz", "liealg", "linalg"]
+CHECKS = START + ["checks", "linalg"]
 LOOP = {"points": [[[2, 0], [0, 0], [-2, 0]], [[2, 1], [0, 0], [-2, 0]],
                    [[3, 1], [0, 0], [-2, 0]], [[3, 0], [0, 0], [-2, 0]]], "closed": True}
 # each command in process, and the package modules it may load: the layers it
@@ -122,7 +123,13 @@ COMMAND_LAYERS = [
      START + ["linalg", "oracle"]),
     (("kz", "matrices", "--level", "2", "--labels", "1,1,2", "--format", "tsv"), KZ),
     (("kz", "transport", "--level", "2", "--labels", "1,1,2", "--steps", "200"), KZ),
-    (("verify", "virasoro", "--kmax", "1", "--degree", "4"), ["wzw"] + MODULES),
+    (("verify", "virasoro", "--kmax", "1", "--degree", "4"), CHECKS + ["fock", "liealg"]),
+    (("verify", "sugawara", "--level", "1", "--label", "0", "--degree", "2"),
+     CHECKS + ["fock", "liealg"]),
+    (("verify", "fusion-axioms"), CHECKS + ["fusion", "liealg"]),
+    (("verify", "block-dimensions"), CHECKS + ["fusion", "liealg", "surface"]),
+    (("verify", "oracle-equivalence"), CHECKS + ["fusion", "liealg", "oracle"]),
+    (("verify", "rank-z-independence"), CHECKS + ["oracle"]),
 ]
 
 
