@@ -3,8 +3,8 @@
 Every operator here is a GradedOperator: a band of integer matrices between
 graded pieces, one rational factor, and the degree window [0, hi] on which
 the truncation agrees with the true operator (degrees below 0 are empty).
-`InducedModule.operator` fills the currents, the identity and the Sugawara
-operators alike, column by column; a Sugawara block holds 4C(D_k).
+`InducedModule.operator` fills the currents and the identity column by
+column; a Sugawara block holds 4C(D_k), summed from current products.
 Compositions and sums take the smaller top edge, so identity checks on a
 window are honest statements about the untruncated algebra.
 
@@ -29,9 +29,8 @@ Sign conventions, pinned once:
 
 The induced module uses the PBW basis of monomials X t^{-k_r} ... X t^{-k_1} v
 with factors sorted descending; straightening (`InducedModule.apply_gen`) is
-exact integer arithmetic.  The currents, the Sugawara operators and the Gram
-blocks of the contravariant pairing (`gram_blocks`, one degree at a time) are
-all read through it.
+exact integer arithmetic.  The currents and the Gram blocks of the
+contravariant pairing (`gram_blocks`, one degree at a time) are read through it.
 """
 
 from __future__ import annotations
@@ -219,14 +218,11 @@ class InducedModule:
         """The shift-`shift` operator summing the (element, coefficient) pairs of column(elt)."""
         d = self.degree_bound
         hi = min(d, d + shift)
-        if hi < 0:
-            raise InputError(f"a shift-{shift} operator has an empty valid window "
-                             f"at degree bound {d}")
         blocks = {}
         for n in range(0, hi + 1):
             blk: dict = {}
             rows = self.positions(n - shift)
-            for col, elt in enumerate(self.basis(n)):
+            for col, elt in enumerate(self.positions(n)):
                 for melt, c in column(elt):
                     key = rows[melt], col
                     blk[key] = blk.get(key, 0) + c
@@ -268,16 +264,17 @@ def fock_space(degree_bound: int) -> InducedModule:
 # ---------------------------------------------------------------------------
 # graded operators
 
-def _mm(a: dict, b: dict) -> dict:
-    by_k: dict = {}
-    for (k, j), v in b.items():
-        by_k.setdefault(k, []).append((j, v))
+def _mm(products) -> dict:
+    """The nonzero entries of the sum of w * a b over the sparse blocks (w, a, b) in products."""
     out: dict = {}
-    for (i, k), u in a.items():
-        for j, v in by_k.get(k, ()):
-            key = (i, j)
-            w = out.get(key, 0) + u * v
-            out[key] = w
+    for w, a, b in products:
+        by_k: dict = {}
+        for (k, j), v in b.items():
+            by_k.setdefault(k, []).append((j, w * v))
+        for (i, k), u in a.items():
+            for j, v in by_k.get(k, ()):
+                key = (i, j)
+                out[key] = out.get(key, 0) + u * v
     return {k: v for k, v in out.items() if v}
 
 
@@ -293,6 +290,9 @@ class GradedOperator:
 
     def __init__(self, space, shift: int, hi: int, blocks: dict,
                  factor: Fraction = Fraction(1)):
+        if hi < 0:
+            raise InputError(f"a shift-{shift} operator has an empty valid window "
+                             f"at degree bound {space.degree_bound}")
         self.space = space
         self.shift = shift
         self.hi = hi
@@ -317,8 +317,8 @@ class GradedOperator:
             raise InputError("composition has an empty valid window")
         blocks = {}
         for n in range(hi + 1):
-            blocks[n] = _mm(self.blocks.get(n - other.shift, {}),
-                            other.blocks.get(n, {}))
+            blocks[n] = _mm([(1, self.blocks.get(n - other.shift, {}),
+                              other.blocks.get(n, {}))])
         return GradedOperator(self.space, self.shift + other.shift, hi, blocks,
                               self.factor * other.factor)
 
@@ -370,23 +370,20 @@ def commutator(a: GradedOperator, b: GradedOperator) -> GradedOperator:
 def sugawara_op(k: int, module: InducedModule) -> GradedOperator:
     """T(D_k) = -C(D_k)/(level + h) on the induced-module truncation.
 
-    The blocks hold the integer 4 C(D_k): each pair i + j = k, i <= j, applies
-    t^j first and weighs 2 if i < j, 1 if i = j; each dual-basis term weighs 2c.
+    Each block holds the integer 4 C(D_k), summed from the cached currents:
+    X_a t^i after X^a t^j, for i + j = k and i <= j, weighs 2c, doubled if
+    i < j.  No product is truncated: its middle degree never exceeds d.
     """
     d = module.degree_bound
-    apply_gen = module.apply_gen
-    terms = [(k - j, j, (2 if k - j < j else 1) * int(2 * c), ga, gb)
+    hi = min(d, d + k)
+    terms = [((2 if k - j < j else 1) * int(2 * c), j,
+              module.action(k - j, ga).blocks, module.action(j, gb).blocks)
              for j in range(-(-k // 2), d + 1) if abs(k - j) <= d
              for ga, gb, c in module.algebra.dual_pairs]
-
-    def column(elt):
-        for i, j, w, ga, gb in terms:
-            for melt, c1 in apply_gen(j, gb, elt).items():
-                for melt2, c2 in apply_gen(i, ga, melt).items():
-                    yield melt2, w * c1 * c2
-
-    return module.operator(k, column).scale(
-        Fraction(-1, 4 * (module.level + module.algebra.dual_coxeter)))
+    blocks = {n: _mm([(w, a.get(n - j, {}), b.get(n, {})) for w, j, a, b in terms])
+              for n in range(hi + 1)}
+    return GradedOperator(module, k, hi, blocks,
+                          Fraction(-1, 4 * (module.level + module.algebra.dual_coxeter)))
 
 
 def check_sugawara_bracket(k: int, l: int, module: InducedModule) -> GradedOperator:

@@ -9,14 +9,12 @@ integer base point.  The block basis is the span's non-pivot columns and
 is read off before the T^{l+1} rows go in.
 Parallel transport is the single floating-point boundary of the package.
 It runs RK4 at the requested steps and, for the halving error estimate, at
-half of them, in lockstep: two full steps, then one halved step.  The halved
-step is twice the full one bit for bit, so both runs read the connection form
-at the same float times, and each form is evaluated once and shared (3617
-forms on a 1600-step segment, where two separate runs took 7200).  The
-equation is linear, so each column of the holonomy takes the same step: the
-step is one function generated from the block dimension alone, with one
-column's matrix-vector products written out, O(dim^2) source (1.3 KB at
-dim 3, 76 KB at dim 30).
+half of them, in lockstep: two full steps, then one halved step, which is
+twice the full one bit for bit, so both runs share each evaluation of the
+connection form (3617 on a 1600-step segment; two separate runs took 7200).
+The form, per (dim^2, number of moving pairs), and the step, per block
+dimension, are generated with only integers in their source; the step writes
+out one column's matrix-vector products (1.3 KB at dim 3, 76 KB at dim 30).
 """
 
 from __future__ import annotations
@@ -277,18 +275,25 @@ def _segment_guard(p, q):
                 raise InputError(f"path touches the diagonal z_{i} = z_{j}")
 
 
-def _omega(z, pairs, size: int) -> list:
-    """The form sum_ij c_ij A_ij at the configuration z, flat and row-major.
+@lru_cache(maxsize=None)
+def _connection_form(size: int, npairs: int):
+    """The form sum_ij c_ij A_ij, flat and row-major, generated from its size and pair count.
 
-    `pairs` holds (i, j, dz_i - dz_j, flat A_ij) for the pairs that move,
-    in `a_matrices` order, and the sum starts from 0j.
+    form(z, pairs) reads the (i, j, dz_i - dz_j, flat A_ij) of the moving pairs
+    in `a_matrices` order; each entry is summed from 0j in that order, skipping
+    a pair whose c_ij = (dz_i - dz_j)/(z_i - z_j) is 0.
     """
-    om = [0j] * size
-    for i, j, dij, m in pairs:
-        c = dij / (z[i] - z[j])
-        if c:
-            om = [o + c * v for o, v in zip(om, m)]
-    return om
+    entries = ", ".join(f"e{e}" for e in range(size))
+    src = ["def form(z, pairs):", f"    [{entries}] = [0j] * {size}",
+           f"    [{', '.join(f'(i{p}, j{p}, d{p}, m{p})' for p in range(npairs))}] = pairs"]
+    for p in range(npairs):
+        src += [f"    c = d{p} / (z[i{p}] - z[j{p}])", "    if c:",
+                f"        [{', '.join(f'v{e}' for e in range(size))}] = m{p}"]
+        src += [f"        e{e} += c * v{e}" for e in range(size)]
+    src.append(f"    return {entries},")
+    scope: dict = {}
+    exec(compile("\n".join(src), f"<kz form, size {size}, {npairs} pairs>", "exec"), scope)
+    return scope["form"]
 
 
 @lru_cache(maxsize=None)
@@ -297,11 +302,9 @@ def _rk4_step(dim: int):
 
     step(cols, oa, ob, oc, h) takes Y as dim column tuples and the flat forms
     at t0, t0 + h/2 and t0 + h, and returns the stepped columns.  The equation
-    is linear, so every column takes the same step: the source writes out one
-    column's matrix-vector products (O(dim^2) characters), not the O(dim^3)
-    matrix product.  Each entry is the float expression
-    0 + o[r,0]*y0 + ... + o[r,dim-1]*y(dim-1), summed in that order.  Only
-    the integer dim reaches the source.
+    is linear, so the source writes out one column's matrix-vector products,
+    O(dim^2) characters, each entry the float expression
+    0 + o[r,0]*y0 + ... + o[r,dim-1]*y(dim-1), summed in that order.
     """
     idx = range(dim)
 
@@ -332,9 +335,9 @@ def _transport_fixed(system: KZSystem, waypoints, per_seg: int) -> tuple:
 
     The two runs go in lockstep: two full steps, then one halved step.  The
     halved step H = 1/(per_seg // 2) is 2h bit for bit, so both runs read the
-    form at the same floats t.  Each form is evaluated once, keyed by t, and
-    dropped once t falls behind the halved run.  The holonomies are held as
-    columns and stepped by `_rk4_step(dim)`; they are returned as rows.
+    form at the same floats t.  The segment's `_connection_form` evaluates
+    each once, keyed by t, dropped once t falls behind the halved run.  The
+    holonomies are stepped as columns by `_rk4_step(dim)`, returned as rows.
     """
     dim = system.dim
     if not dim:
@@ -344,10 +347,9 @@ def _transport_fixed(system: KZSystem, waypoints, per_seg: int) -> tuple:
     step = _rk4_step(dim)
 
     def form(t):
-        om = forms.get(t)
-        if om is None:
-            om = forms[t] = _omega([a + t * d for a, d in zip(p, dz)], pairs, dim * dim)
-        return om
+        if t not in forms:
+            forms[t] = omega([a + t * d for a, d in zip(p, dz)], pairs)
+        return forms[t]
 
     full = half = [tuple(1.0 + 0j if r == c else 0j for r in range(dim)) for c in range(dim)]
     for s in range(len(waypoints) - 1):
@@ -357,6 +359,7 @@ def _transport_fixed(system: KZSystem, waypoints, per_seg: int) -> tuple:
         if all(abs(d) == 0 for d in dz):
             continue
         pairs = [(i, j, dz[i] - dz[j], m) for (i, j), m in mats.items() if dz[i] - dz[j]]
+        omega = _connection_form(dim * dim, len(pairs))
         forms = {}
         h, big_h = 1.0 / per_seg, 1.0 / (per_seg // 2)
         for k in range(per_seg // 2):

@@ -266,18 +266,47 @@ def reference_sugawara(k, module):
     return total.scale(Fraction(-1, module.level + algebra.dual_coxeter))
 
 
+def reference_sugawara_columns(k, module):
+    """T(D_k) = -C(D_k)/(l + h) column by column: each basis element straightened
+    through X^a t^j, then X_a t^i, for i + j = k, i <= j, weighed 2 if i < j."""
+    d = module.degree_bound
+    terms = [(k - j, j, (2 if k - j < j else 1) * int(2 * c), ga, gb)
+             for j in range(-(-k // 2), d + 1) if abs(k - j) <= d
+             for ga, gb, c in module.algebra.dual_pairs]
+
+    def column(elt):
+        for i, j, w, ga, gb in terms:
+            for melt, c1 in module.apply_gen(j, gb, elt).items():
+                for melt2, c2 in module.apply_gen(i, ga, melt).items():
+                    yield melt2, w * c1 * c2
+
+    return module.operator(k, column).scale(
+        Fraction(-1, 4 * (module.level + module.algebra.dual_coxeter)))
+
+
 SL2_LABELS = [(level, mu) for level in range(3) for mu in range(level + 1)]
+REFERENCE_MODULES = pytest.mark.parametrize(
+    "module", [induced_module(level, mu, 6) for level, mu in SL2_LABELS] + [fock_space(8)],
+    ids=[f"sl2-l{level}-mu{mu}" for level, mu in SL2_LABELS] + ["fock"])
 
 
-@pytest.mark.parametrize("module", [induced_module(level, mu, 6) for level, mu in SL2_LABELS]
-                         + [fock_space(8)],
-                         ids=[f"sl2-l{level}-mu{mu}" for level, mu in SL2_LABELS] + ["fock"])
+def assert_same_operator(got, want, k):
+    assert (got.shift, got.hi) == (want.shift, want.hi)
+    for n in range(want.hi + 1):
+        assert got.entries(n) == want.entries(n), (k, n)
+
+
+@REFERENCE_MODULES
 def test_sugawara_matches_the_operator_by_operator_construction(module):
     for k in range(-3, 4):
-        got, want = sugawara_op(k, module), reference_sugawara(k, module)
-        assert (got.shift, got.hi) == (want.shift, want.hi)
-        for n in range(want.hi + 1):
-            assert got.entries(n) == want.entries(n), (k, n)
+        assert_same_operator(sugawara_op(k, module), reference_sugawara(k, module), k)
+
+
+@REFERENCE_MODULES
+def test_sugawara_matches_the_column_by_column_construction(module):
+    # the straightening recursion alone, independent of the cached current actions
+    for k in range(-3, 4):
+        assert_same_operator(sugawara_op(k, module), reference_sugawara_columns(k, module), k)
 
 
 def test_sugawara_l0_eigenvalue():

@@ -340,12 +340,29 @@ def test_lockstep_transport_evaluates_each_form_once(monkeypatch):
     # two separate runs take 3 * (1600 + 800) = 7200 forms on a 1600-step
     # segment; in lockstep the runs share every form at the same float t
     calls = []
-    omega = kz._omega
+    generate = kz._connection_form
 
-    def counted(*args):
-        calls.append(args)
-        return omega(*args)
+    def counting(size, npairs):
+        form = generate(size, npairs)
+        return lambda *args: calls.append(args) or form(*args)
 
-    monkeypatch.setattr(kz, "_omega", counted)
+    monkeypatch.setattr(kz, "_connection_form", counting)
     kz._transport_fixed(kz_system(2, (1, 1, 2)), benchmark_loop(1.0, 3)[:2], 1600)
-    assert len(calls) <= 3700
+    assert len(calls) == 3617
+
+
+def test_connection_form_is_generated_from_integers_only():
+    # the forms of two systems with the same block size and the same number of
+    # moving pairs differ only in their arguments, so they share one function
+    a, b = kz_system(4, (2, 2, 2, 2)), kz_system(5, (2, 2, 2, 2))
+    assert a.dim == b.dim == 3 and a.a_matrices != b.a_matrices
+    # z_0 moves on the first segment: pairs (0, 1), (0, 2) and (0, 3)
+    segment = benchmark_loop(1.0, 4)[:2]
+    kz._connection_form.cache_clear()
+    kz._transport_fixed(a, segment, 4)
+    size = kz._connection_form.cache_info().currsize
+    kz._transport_fixed(b, segment, 4)
+    assert kz._connection_form.cache_info().currsize == size == 1
+    # no matrix entry, dz difference or point is a constant of the code
+    consts = kz._connection_form(9, 3).__code__.co_consts
+    assert all(type(c) is int or c in (None, 0j) for c in consts), consts

@@ -27,14 +27,13 @@ def test_three_point_classical_rank():
         assert classical == classical_triple(l, m, n), (l, m, n)
 
 
-def test_three_point_inserts_each_truncation_target_once(monkeypatch):
-    # 354 diagonal rows, then at most one row per basis vector of the 125-dim
-    # V_4 (x) V_4 (x) V_4
-    calls = []
-    add = IntSpan.add
-    monkeypatch.setattr(IntSpan, "add", lambda self, row: calls.append(row) or add(self, row))
+def test_three_point_inserts_each_truncation_target_once(added_rows):
+    # the 36 diagonal E and F rows of V_4 (x) V_4 (x) V_4, then one unit row
+    # per weight-zero truncation target, none of them twice
     assert three_point_ranks(4, 4, 4, 4) == (0, 1)
-    assert len(calls) <= 354 + 125
+    targets = added_rows[36:]
+    assert targets and all(list(row.values()) == [1] for row in targets)
+    assert len({tuple(row) for row in targets}) == len(targets)
 
 
 @pytest.fixture
