@@ -380,7 +380,7 @@ def gluing_recursion() -> CheckResult:
     cases, bad = 0, []
     for mu in (0, 1):
         series = gluing_tensor(1, mu, GLUING_DEGREE)
-        cases += sum(dp <= GLUING_DMAX for _, _, dp, _ in series.residuals) + 1
+        cases += sum(dp <= GLUING_DMAX for _, _, dp in series.residuals) + 1
         if _identity_deviation(mat_mul(transpose(series.quotient.gram[0]), series.terms[0])):
             bad.append(f"mu={mu},eps0-inverse-pairing")
     detail = (f"{cases} recursion and pairing identities, all residuals 0"

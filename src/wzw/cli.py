@@ -71,7 +71,7 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise InputError(f"labels {text!r} must be comma-separated integers") from None
 
 
-def _parse_points(text: str) -> tuple[Fraction, ...]:
+def _parse_points(text: str) -> tuple:
     from fractions import Fraction
     try:
         return tuple(Fraction(p) for p in text.split(","))
@@ -175,19 +175,19 @@ def _frac_matrix(mat):
 
 
 def _kz_system(args):
-    """The system of the flags, rejected when its level truncation is not flat."""
-    from .kz import flatness_check, kz_system
+    from .kz import kz_system
     if args.algebra != "A1":
         raise InputError(f"kz supports algebra A1 only, got {args.algebra!r}")
-    system = kz_system(args.level, _parse_ints(args.labels))
-    if system.truncated and not flatness_check(system):
-        raise InputError(f"level truncation is not supported for labels {system.labels} "
-                         f"at level {system.level}: the truncated connection is not flat")
-    return system
+    return kz_system(args.level, _parse_ints(args.labels))
 
 
 def _cmd_kz_matrices(args):
+    """The matrices of the system, refused when its level truncation is not flat."""
+    from .kz import flatness_check
     system = _kz_system(args)
+    if system.truncated and not flatness_check(system):
+        raise InputError(f"level truncation is not supported for labels {system.labels} "
+                         f"at level {system.level}: the truncated connection is not flat")
     matrices = [{"i": i, "j": j, "entries": _frac_matrix(system.a_matrices[(i, j)])}
                 for (i, j) in sorted(system.a_matrices)]
     payload = {"algebra": args.algebra, "level": args.level,

@@ -3,8 +3,8 @@
 Every operator here is a GradedOperator: a band of integer matrices between
 graded pieces, one rational factor, and the degree window [0, hi] on which
 the truncation agrees with the true operator (degrees below 0 are empty).
-`InducedModule.operator` fills the currents and the identity column by
-column; a Sugawara block holds 4C(D_k), summed from current products.
+`InducedModule.action` fills each current column by column from the
+straightening; a Sugawara block holds 4C(D_k), summed from current products.
 Compositions and sums take the smaller top edge, so identity checks on a
 window are honest statements about the untruncated algebra.
 
@@ -136,6 +136,8 @@ class InducedModule:
     Basis elements are pairs (mono, i): the monomial of creation factors
     (k, gen) applied to the weight vector v_i.  The central element acts as
     the level; X t^k for k >= 1 kills V_mu; X t^0 acts through the irrep.
+    Build modules with `induced_module`, which keeps one per argument tuple:
+    a module is equal only to itself.
     """
 
     def __init__(self, level: int, mu: int, degree_bound: int,
@@ -214,40 +216,25 @@ class InducedModule:
         self._memo[key] = out
         return out
 
-    def operator(self, shift: int, column: Callable) -> "GradedOperator":
-        """The shift-`shift` operator summing the (element, coefficient) pairs of column(elt)."""
-        d = self.degree_bound
-        hi = min(d, d + shift)
-        blocks = {}
-        for n in range(0, hi + 1):
-            blk: dict = {}
-            rows = self.positions(n - shift)
-            for col, elt in enumerate(self.positions(n)):
-                for melt, c in column(elt):
-                    key = rows[melt], col
-                    blk[key] = blk.get(key, 0) + c
-            blocks[n] = {k: v for k, v in blk.items() if v}
-        return GradedOperator(space=self, shift=shift, hi=hi, blocks=blocks)
-
     def action(self, m: int, g: int) -> "GradedOperator":
         """X_g t^m as a GradedOperator (shift m) on the truncation, built once per (m, g).
 
-        Callers share the returned operator: `GradedOperator` arithmetic builds
-        new blocks and leaves the blocks of its operands as they are.
+        Column col of block n holds X_g t^m of basis(n)[col].  Callers share
+        the returned operator: `GradedOperator` arithmetic builds new blocks
+        and leaves the blocks of its operands as they are.
         """
         op = self._actions.get((m, g))
         if op is None:
-            op = self._actions[m, g] = self.operator(
-                m, lambda elt: self.apply_gen(m, g, elt).items())
+            d = self.degree_bound
+            hi = min(d, d + m)
+            blocks = {}
+            for n in range(hi + 1):
+                rows = self.positions(n - m)
+                blocks[n] = {(rows[melt], col): c
+                             for col, elt in enumerate(self.positions(n))
+                             for melt, c in self.apply_gen(m, g, elt).items()}
+            op = self._actions[m, g] = GradedOperator(self, m, hi, blocks)
         return op
-
-    def __eq__(self, other):
-        return (isinstance(other, InducedModule)
-                and (other.algebra, other.level, other.mu, other.degree_bound)
-                == (self.algebra, self.level, self.mu, self.degree_bound))
-
-    def __hash__(self):
-        return hash(("induced", self.algebra, self.level, self.mu, self.degree_bound))
 
 
 @lru_cache(maxsize=None)
@@ -313,8 +300,6 @@ class GradedOperator:
         if self.space != other.space:
             raise InternalError("composing operators on different spaces")
         hi = min(other.hi, self.hi + other.shift)
-        if hi < 0:
-            raise InputError("composition has an empty valid window")
         blocks = {}
         for n in range(hi + 1):
             blocks[n] = _mm([(1, self.blocks.get(n - other.shift, {}),
@@ -327,8 +312,6 @@ class GradedOperator:
         if self.space != other.space or self.shift != other.shift:
             raise InternalError("adding incompatible graded operators")
         hi = min(self.hi, other.hi)
-        if hi < 0:
-            raise InputError("sum has an empty valid window")
         f, g = self.factor, other.factor
         common = Fraction(gcd(f.numerator, g.numerator),
                           f.denominator // gcd(f.denominator, g.denominator) * g.denominator)
@@ -404,7 +387,8 @@ def check_sugawara_bracket(k: int, l: int, module: InducedModule) -> GradedOpera
                           module.level + algebra.dual_coxeter)
         central = Fraction(k ** 3 - k, 12) * charge
         if central:
-            res = res.sub(module.operator(0, lambda elt: ((elt, 1),)).scale(central))
+            unit = {n: {(i, i): 1 for i in range(module.dim(n))} for n in range(d + 1)}
+            res = res.sub(GradedOperator(module, 0, d, unit).scale(central))
     return res
 
 
@@ -487,17 +471,8 @@ class IntegrableQuotient:
         if m not in self.kept or n not in self.kept:
             raise InputError(f"degrees ({n},{m}) outside quotient bound")
         blk = op.block(n)
-        by_col: dict = {}
-        for (r, c), v in blk.items():
-            by_col.setdefault(c, []).append((r, v))
-        q_out = len(self.kept[m])
-        prc = self.proj[m]
-        out = [[Fraction(0)] * len(self.kept[n]) for _ in range(q_out)]
-        for b, col in enumerate(self.kept[n]):
-            for r, v in by_col.get(col, ()):
-                for a in range(q_out):
-                    if prc[a][r]:
-                        out[a][b] += prc[a][r] * v
+        out = mat_mul(self.proj[m], [[blk.get((r, c), 0) for c in self.kept[n]]
+                                     for r in range(self.module.dim(m))])
         if op.factor != 1:
             out = [[op.factor * x for x in row] for row in out]
         return out
@@ -530,8 +505,8 @@ class GluingTensorSeries:
     """epsilon_d = transpose inverse of the quotient Gram blocks of b_mu.
 
     terms[d] is the matrix of epsilon_d over the kept bases; residuals holds
-    (n, generator name, dp, max-abs entry) for every checked instance of the
-    recursion; gluing_tensor raises unless each one is zero.
+    (n, generator name, dp) for every checked instance of the recursion, each
+    one zero: gluing_tensor raises on the first that is not.
     """
 
     def __init__(self, quotient: IntegrableQuotient, terms: list, residuals: list):
@@ -561,14 +536,8 @@ def gluing_tensor(level: int, mu: int, d: int) -> GluingTensorSeries:
                 # (1 (x) X t-^{-n}) eps_dp = M_dp . B^T
                 lhs = mat_mul(quot.descend(plus_op, dp + n), terms[dp + n])
                 rhs = mat_mul(terms[dp], transpose(quot.descend(minus_op, dp)))
-                worst = Fraction(0)
-                for i in range(quot.dim(dp)):
-                    for j in range(quot.dim(dp + n)):
-                        left = lhs[i][j] if lhs else Fraction(0)
-                        right = rhs[i][j] if rhs else Fraction(0)
-                        worst = max(worst, abs(left + right))
-                if worst:
+                if lhs != [[-x for x in row] for row in rhs]:
                     raise InternalError(
                         f"gluing recursion fails at n={n}, gen={gen}, degree {dp}")
-                residuals.append((n, gen, dp, worst))
+                residuals.append((n, gen, dp))
     return GluingTensorSeries(quotient=quot, terms=terms, residuals=residuals)

@@ -371,7 +371,7 @@ def _transport_fixed(system: KZSystem, waypoints, per_seg: int) -> tuple:
     return [list(row) for row in zip(*full)], [list(row) for row in zip(*half)]
 
 
-def parallel_transport(system: KZSystem, path, steps: int = 1000,
+def parallel_transport(system: KZSystem, path, steps: int,
                        tolerance: float = 1e-6) -> TransportResult:
     """RK4 holonomy along a piecewise-linear path (list of configurations).
 

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import typing
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -259,6 +260,34 @@ def test_every_public_definition_is_used_by_package_code():
                 unused += [f"{module}.{node.name}.{member}"
                            for member in _public_members(node) if member not in attributes]
     assert unused == []
+
+
+def _defined_functions(module: str) -> list:
+    """Every function and method wzw/<module>.py defines, unwrapped from lru_cache."""
+    mod = importlib.import_module(f"wzw.{module}")
+    out = []
+    for value in vars(mod).values():
+        if getattr(value, "__module__", None) != mod.__name__:
+            continue
+        for fn in vars(value).values() if isinstance(value, type) else [value]:
+            fn = getattr(fn, "__wrapped__", fn)
+            fn = fn.fget if isinstance(fn, property) else fn
+            if inspect.isfunction(fn):
+                out.append(fn)
+    return out
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_annotation_resolves(module):
+    # annotations are strings under `from __future__ import annotations`, so a
+    # name that is never imported only fails when something evaluates them
+    unresolved = []
+    for fn in _defined_functions(module):
+        try:
+            typing.get_type_hints(fn)
+        except NameError as e:
+            unresolved.append(f"{fn.__qualname__}: {e}")
+    assert unresolved == []
 
 
 # names the per-layer benchmark (perfbench/tracer.py) wraps or reads: a

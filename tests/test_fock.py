@@ -266,6 +266,23 @@ def reference_sugawara(k, module):
     return total.scale(Fraction(-1, module.level + algebra.dual_coxeter))
 
 
+def column_fill(module, shift, column):
+    """The shift-`shift` operator summing the (element, coefficient) pairs of
+    column(elt) into column elt, one basis element at a time."""
+    d = module.degree_bound
+    hi = min(d, d + shift)
+    blocks = {}
+    for n in range(hi + 1):
+        blk = {}
+        rows = module.positions(n - shift)
+        for col, elt in enumerate(module.positions(n)):
+            for melt, c in column(elt):
+                key = rows[melt], col
+                blk[key] = blk.get(key, 0) + c
+        blocks[n] = {key: v for key, v in blk.items() if v}
+    return GradedOperator(module, shift, hi, blocks)
+
+
 def reference_sugawara_columns(k, module):
     """T(D_k) = -C(D_k)/(l + h) column by column: each basis element straightened
     through X^a t^j, then X_a t^i, for i + j = k, i <= j, weighed 2 if i < j."""
@@ -280,7 +297,7 @@ def reference_sugawara_columns(k, module):
                 for melt2, c2 in module.apply_gen(i, ga, melt).items():
                     yield melt2, w * c1 * c2
 
-    return module.operator(k, column).scale(
+    return column_fill(module, k, column).scale(
         Fraction(-1, 4 * (module.level + module.algebra.dual_coxeter)))
 
 
@@ -294,6 +311,17 @@ def assert_same_operator(got, want, k):
     assert (got.shift, got.hi) == (want.shift, want.hi)
     for n in range(want.hi + 1):
         assert got.entries(n) == want.entries(n), (k, n)
+
+
+@REFERENCE_MODULES
+def test_action_matches_the_column_fill(module):
+    d = module.degree_bound
+    for m in range(-d, d + 1):
+        for g in range(len(module.algebra.gen_names)):
+            want = column_fill(module, m, lambda elt: module.apply_gen(m, g, elt).items())
+            got = module.action(m, g)
+            assert (got.shift, got.hi, got.factor) == (m, want.hi, 1)
+            assert got.blocks == want.blocks, (m, g)
 
 
 @REFERENCE_MODULES
@@ -333,8 +361,19 @@ def test_gluing_tensor_shape_and_recursion():
     assert len(series.terms[0]) == 2  # eps_0 on V_mu, a 2x2 block
     # 3 generators x (5 degrees for n = 0, 4 for each n = +-1, 3 for each n = +-2)
     assert len(series.residuals) == 57
-    for n, gen, dp, worst in series.residuals:
-        assert worst == 0, (n, gen, dp)
+    assert series.residuals[0] == (-2, "E", 2)  # (n, generator, degree)
+
+
+def test_gluing_tensor_raises_on_a_broken_recursion(monkeypatch):
+    real_descend = fock.IntegrableQuotient.descend
+
+    def doubled(self, op, n):
+        out = real_descend(self, op, n)
+        return [[2 * x for x in row] for row in out] if op.shift == 1 else out
+
+    monkeypatch.setattr(fock.IntegrableQuotient, "descend", doubled)
+    with pytest.raises(InternalError, match="n=-1"):
+        gluing_tensor(1, 1, 4)
 
 
 def test_gluing_eps0_inverts_pairing():
