@@ -29,8 +29,9 @@ Sign conventions, pinned once:
 
 The induced module uses the PBW basis of monomials X t^{-k_r} ... X t^{-k_1} v
 with factors sorted descending; straightening (`InducedModule.apply_gen`) is
-exact integer arithmetic.  The currents and the Gram blocks of the
-contravariant pairing (`gram_blocks`, one degree at a time) are read through it.
+exact integer arithmetic.  The currents are filled from it, and the Gram
+blocks of the contravariant pairing (`gram_blocks`, one degree at a time) are
+read through the cached currents.
 """
 
 from __future__ import annotations
@@ -415,22 +416,21 @@ def gram_blocks(module: InducedModule) -> list:
     sl2 labels are self-dual, so b pairs the module with itself.  Degree 0
     pairs the weight bases by b(v_i, v_j) = (-1)^i delta_{i+j, mu}.  A deeper
     basis element u = X t^{-k} w, peeled at its leading creation factor, has
-    the row G_n[u] = -G_{n-k}[w] read through X t^{k}: the adjunction
-    b(X t^{-k} w, u') = -b(w, X t^{k} u').
+    the row G_n[u] = -G_{n-k}[w] A, with A the degree-n block of the cached
+    current X t^{k}: the adjunction b(X t^{-k} w, u') = -b(w, X t^{k} u').
     """
     mu = module.mu
     blocks = [[[(-1) ** i if i + j == mu else 0 for j in range(mu + 1)]
                for i in range(mu + 1)]]
     for n in range(1, module.degree_bound + 1):
-        basis = module.basis(n)
         block = []
-        for mono, vi in basis:
+        for mono, vi in module.basis(n):
             (k, g), rest = mono[0], mono[1:]
-            pos = module.positions(n - k)
-            row = blocks[n - k][pos[rest, vi]]
-            block.append([-sum(c * row[pos[melt]]
-                               for melt, c in module.apply_gen(k, g, up).items())
-                          for up in basis])
+            row = blocks[n - k][module.positions(n - k)[rest, vi]]
+            out = [0] * module.dim(n)
+            for (r, col), c in module.action(k, g).blocks[n].items():
+                out[col] -= c * row[r]
+            block.append(out)
         blocks.append(block)
     return blocks
 
@@ -448,57 +448,52 @@ class IntegrableQuotient:
     `gram[n]` is the integer Gram block G_n of `gram_blocks`.  Every one
     satisfies G_n^T = (-1)^mu G_n, so the left and right radicals of b
     coincide and one quotient serves both slots.  `kept[n]` holds the
-    indices of the basis elements representing the degree-n quotient;
-    `proj[n]` is the rational (q x dim) matrix sending a degree-n coordinate
-    vector to its quotient coordinates over the kept basis; `gram_inverse[n]`
-    is the inverse of the degree-n Gram block between the kept bases.
+    indices of the basis elements representing the degree-n quotient, and
+    `gram_inverse[n]` is the inverse H_n^-1 of the degree-n Gram block
+    between the kept bases.  The quotient map sends a degree-n coordinate
+    vector v to H_n^-1 G_n[kept, :] v; `descend` applies it.
     """
 
-    def __init__(self, module: InducedModule, gram: list, kept: dict,
-                 proj: dict, gram_inverse: dict):
-        self.module = module
+    def __init__(self, gram: list, kept: dict, gram_inverse: dict):
         self.gram = gram
         self.kept = kept
-        self.proj = proj
         self.gram_inverse = gram_inverse
 
     def dim(self, n: int) -> int:
         return len(self.kept.get(n, ()))
 
     def descend(self, op: GradedOperator, n: int) -> list:
-        """Quotient matrix of an operator in either slot of b, input degree n."""
+        """Quotient matrix of an operator in either slot of b, input degree n.
+
+        G_m[kept, :] op[:, kept] is paired on integers; the kept inverse and
+        the operator's factor are then applied once.
+        """
         m = n - op.shift
         if m not in self.kept or n not in self.kept:
             raise InputError(f"degrees ({n},{m}) outside quotient bound")
         blk = op.block(n)
-        out = mat_mul(self.proj[m], [[blk.get((r, c), 0) for c in self.kept[n]]
-                                     for r in range(self.module.dim(m))])
-        if op.factor != 1:
-            out = [[op.factor * x for x in row] for row in out]
-        return out
+        gram = self.gram[m]
+        paired = mat_mul([gram[i] for i in self.kept[m]],
+                         [[blk.get((r, c), 0) for c in self.kept[n]] for r in range(len(gram))])
+        return [[op.factor * x for x in row] for row in mat_mul(self.gram_inverse[m], paired)]
 
 
 def integrable_quotient(module: InducedModule) -> IntegrableQuotient:
     """Quotient by the radical of b, computed degree by degree."""
     gram = gram_blocks(module)
     sign = (-1) ** module.mu
-    kept, proj, gram_inverse = {}, {}, {}
+    kept, gram_inverse = {}, {}
     for n, g in enumerate(gram):
         if transpose(g) != [[sign * v for v in row] for row in g]:
             raise InternalError(f"degree-{n} Gram matrix is not (-1)^mu-symmetric")
         k = kept[n] = _pivot_columns(g)
-        if not k:
-            proj[n], gram_inverse[n] = [], []
-            continue
         try:
-            inv = gram_inverse[n] = invert([[g[i][j] for j in k] for i in k])
+            gram_inverse[n] = invert([[g[i][j] for j in k] for i in k])
         except ValueError:
             raise InternalError(f"degree-{n} quotient pairing is not perfect") from None
-        proj[n] = mat_mul(inv, [g[i] for i in k])
     if len(kept[0]) != module.mu + 1:
         raise InternalError("degree-0 pairing is singular; b_mu must be perfect")
-    return IntegrableQuotient(module=module, gram=gram, kept=kept, proj=proj,
-                              gram_inverse=gram_inverse)
+    return IntegrableQuotient(gram=gram, kept=kept, gram_inverse=gram_inverse)
 
 
 class GluingTensorSeries:
@@ -523,19 +518,22 @@ def gluing_tensor(level: int, mu: int, d: int) -> GluingTensorSeries:
     construction for every generator, |n| <= 2 and every dp within the degree
     bound, the n = 0 case being plain g-invariance.
     """
-    quot = integrable_quotient(induced_module(level, mu, d))
-    module = quot.module
+    module = induced_module(level, mu, d)
+    quot = integrable_quotient(module)
     terms = [transpose(quot.gram_inverse[n]) for n in range(d + 1)]
+    top, names = min(2, d), module.algebra.gen_names
+    # X_g t^n at input degree k on the quotient, built once for every instance
+    quotient_of = {(n, g, k): quot.descend(module.action(n, g), k)
+                   for n in range(-top, top + 1) for g in range(len(names))
+                   for k in range(max(0, n), min(d, d + n) + 1)}
     residuals = []
-    for n in range(-min(2, d), min(2, d) + 1):
-        for g, gen in enumerate(module.algebra.gen_names):
-            plus_op = module.action(n, g)
-            minus_op = module.action(-n, g)
+    for n in range(-top, top + 1):
+        for g, gen in enumerate(names):
             for dp in range(max(0, -n), min(d, d - n) + 1):
                 # (X t+^n (x) 1) eps_{dp+n} = A . M_{dp+n};
                 # (1 (x) X t-^{-n}) eps_dp = M_dp . B^T
-                lhs = mat_mul(quot.descend(plus_op, dp + n), terms[dp + n])
-                rhs = mat_mul(terms[dp], transpose(quot.descend(minus_op, dp)))
+                lhs = mat_mul(quotient_of[n, g, dp + n], terms[dp + n])
+                rhs = mat_mul(terms[dp], transpose(quotient_of[-n, g, dp]))
                 if lhs != [[-x for x in row] for row in rhs]:
                     raise InternalError(
                         f"gluing recursion fails at n={n}, gen={gen}, degree {dp}")

@@ -64,9 +64,10 @@ def _half_lengths(cartan: list[list[int]]) -> list[Fraction]:
     return [x / top for x in d]
 
 
-class RootSystem(namedtuple("RootSystem", "series rank cartan_matrix gram denominator "
+class RootSystem(namedtuple("RootSystem", "series rank cartan_matrix simple_roots gram denominator "
                             "pos_roots root_columns highest_root rho dual_coxeter")):
-    """The root data of one algebra; `root_columns[k]` is column(pos_roots[k])."""
+    """The root data of one algebra; `simple_roots[i]` is a_i, column i of the
+    Cartan matrix, and `root_columns[k]` is column(pos_roots[k])."""
 
     __slots__ = ()
 
@@ -88,13 +89,9 @@ class RootSystem(namedtuple("RootSystem", "series rank cartan_matrix gram denomi
     def is_dominant(self, mu) -> bool:
         return len(mu) == self.rank and all(isinstance(c, int) and c >= 0 for c in mu)
 
-    def simple_root(self, i: int) -> Weight:
-        return tuple(self.cartan_matrix[j][i] for j in range(self.rank))
-
     def reflect(self, x: tuple, i: int) -> tuple:
         """Simple reflection s_i(x) = x - <x, coroot_i> a_i."""
-        ai = self.simple_root(i)
-        return tuple(xj - x[i] * aij for xj, aij in zip(x, ai))
+        return tuple(xj - x[i] * aij for xj, aij in zip(x, self.simple_roots[i]))
 
     def __repr__(self) -> str:
         return f"RootSystem({self.name})"
@@ -139,7 +136,8 @@ def _root_system(series: str, rank: int, cartan) -> RootSystem:
     denominator = lcm(*(f.denominator for row in form for f in row))
     gram = [[int(f * denominator) for f in row] for row in form]
 
-    pos = _positive_roots(cartan)
+    simple = tuple(zip(*cartan))
+    pos = _positive_roots(simple)
     max_ht = max(pos.values())
     tops = [b for b, h in pos.items() if h == max_ht]
     if len(tops) != 1:
@@ -161,7 +159,7 @@ def _root_system(series: str, rank: int, cartan) -> RootSystem:
 
     pos_roots = tuple(sorted(pos, key=lambda b: (pos[b], b)))
     return RootSystem(series=series, rank=rank,
-                      cartan_matrix=tuple(tuple(r) for r in cartan),
+                      cartan_matrix=tuple(tuple(r) for r in cartan), simple_roots=simple,
                       gram=tuple(tuple(r) for r in gram), denominator=denominator,
                       pos_roots=pos_roots,
                       root_columns=tuple(column(alpha) for alpha in pos_roots),
@@ -169,14 +167,13 @@ def _root_system(series: str, rank: int, cartan) -> RootSystem:
                       dual_coxeter=1 + h_minus_one)
 
 
-def _positive_roots(cartan: list[list[int]]) -> dict[Weight, int]:
+def _positive_roots(simple: tuple[Weight, ...]) -> dict[Weight, int]:
     """All positive roots (fundamental-weight coordinates) with their heights.
 
     Built by height via root strings: beta + a_i is a root iff q >= 1 where
     q = p - <beta, coroot_i> and p is how far the string extends downward.
     """
-    n = len(cartan)
-    simple = [tuple(cartan[j][i] for j in range(n)) for i in range(n)]
+    n = len(simple)
     roots: dict[Weight, int] = {simple[i]: 1 for i in range(n)}
     frontier = list(simple)
     while frontier:
@@ -266,7 +263,7 @@ def _dominant_weights(rs: RootSystem, mu: Weight) -> dict[Weight, int]:
     n = rs.rank
     rho = rs.rho
     # enumerate c >= 0 with mu - sum c_i a_i dominant, using sum c_i d_i <= (mu, rho)
-    d = [rs.pair(rs.simple_root(i), rho) for i in range(n)]
+    d = [rs.pair(alpha, rho) for alpha in rs.simple_roots]
     budget = rs.pair(mu, rho)
     bounds = [budget // di for di in d]
     cand = []

@@ -6,7 +6,7 @@ package goes through here.  Two layers:
 * dense exact matrices (lists of lists of ``int`` or ``Fraction``):
   products, commutators, transposes, inverse and determinant for the Cartan
   data and the sl2 irreps (liealg), the fusion matrices (fusion), the KZ
-  connection (kz) and the Shapovalov projections and gluing tensor (fock).
+  connection (kz) and the quotient pairing and gluing tensor (fock).
   A product of integer matrices stays integer;
 * ``IntSpan``, an incremental fraction-free row-space accumulator over the
   integers, used for the large sparse rank computations in the oracle, kz and

@@ -23,14 +23,14 @@ BUDGETS = {
     "virasoro-bracket": 10.0,
     "sugawara-identities": 60.0,
     "oracle-equivalence": 60.0,
-    "fusion-axioms": None,
+    "fusion-axioms": 1.0,
     "block-dimensions": 30.0,
-    "propagation": None,
+    "propagation": 5.0,
     "dehn-twists": None,
     "kz-flatness": 30.0,
     "kz-transport": 60.0,
-    "gluing-recursion": None,
-    "rank-z-independence": None,
+    "gluing-recursion": 15.0,
+    "rank-z-independence": 1.0,
 }
 
 _params = [

@@ -376,6 +376,22 @@ def test_gluing_tensor_raises_on_a_broken_recursion(monkeypatch):
         gluing_tensor(1, 1, 4)
 
 
+def test_gluing_tensor_descends_each_quotient_matrix_once(monkeypatch):
+    # one descend per (n, generator, input degree): at d = 6, 3 generators x
+    # (7 degrees for n = 0, 6 for each n = +-1, 5 for each n = +-2)
+    real_descend = fock.IntegrableQuotient.descend
+    calls = []
+
+    def counted(self, op, n):
+        calls.append((id(op), n))
+        return real_descend(self, op, n)
+
+    monkeypatch.setattr(fock.IntegrableQuotient, "descend", counted)
+    gluing_tensor(1, 1, 6)
+    assert len(calls) == 87
+    assert len(set(calls)) == 87
+
+
 def test_gluing_eps0_inverts_pairing():
     series = gluing_tensor(1, 0, 2)
     gram0 = series.quotient.gram[0]

@@ -141,6 +141,21 @@ def test_residue_check_detects_a_perturbed_entry(entry):
     assert residue_check(system)
 
 
+def test_residue_check_reads_the_last_slot():
+    # +I on A_(1,2) and A_(0,2), -I on A_(0,1): slots 0 and 1 keep their
+    # residue sums, slot 2's is off by 2I, and every commutator is unchanged
+    system = kz_system(2, (1, 1, 2))
+    mats = {key: [row[:] for row in m] for key, m in system.a_matrices.items()}
+    for key, shift in [((1, 2), 1), ((0, 2), 1), ((0, 1), -1)]:
+        for i in range(system.dim):
+            mats[key][i][i] += shift
+    perturbed = KZSystem(system.level, system.labels, system.dim, system.classical_dim,
+                         mats, system.truncated, system.base_point)
+    assert flatness_check(perturbed)
+    assert not residue_check(perturbed)
+    assert residue_check(system)
+
+
 def test_system_validation():
     with pytest.raises(InputError):
         kz_system(1, (2, 0))
