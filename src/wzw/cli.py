@@ -222,11 +222,15 @@ def _load_path(filename: str, n: int) -> list:
         if not isinstance(config, list) or len(config) != n:
             raise InputError(f"each configuration needs {n} [re,im] pairs")
         try:
+            if any(isinstance(c, bool) for pair in config for c in pair):
+                raise TypeError
             waypoints.append(tuple(complex(x, y) for x, y in config))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # an int too large for a float
             raise InputError("points must be [re,im] number pairs") from None
         if not all(cmath.isfinite(z) for z in waypoints[-1]):
             raise InputError("path coordinates must be finite numbers")
+    if not isinstance(data.get("closed", False), bool):
+        raise InputError('"closed" must be true or false')
     if data.get("closed"):
         waypoints.append(waypoints[0])
     return waypoints

@@ -31,7 +31,8 @@ The induced module uses the PBW basis of monomials X t^{-k_r} ... X t^{-k_1} v
 with factors sorted descending; straightening (`InducedModule.apply_gen`) is
 exact integer arithmetic.  The currents are filled from it, and the Gram
 blocks of the contravariant pairing (`gram_blocks`, one degree at a time) are
-read through the cached currents.
+read through the cached currents.  The gluing recursion is checked on integer
+pairings; eps_n = H_n^-T is the only rational matrix the gluing tensor holds.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from types import MappingProxyType
 
 from .errors import InputError, InternalError
 from .liealg import sl2_irrep_matrices
-from .linalg import IntSpan, invert, mat_mul, transpose
+from .linalg import IntSpan, identity, invert, mat_mul, transpose
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +274,7 @@ class GradedOperator:
     {(row, col): value} from basis(n) to basis(n - shift), held for
     0 <= n <= hi only.  The operator is `factor` times its blocks; the factor
     is its one rational number, applied once where entries are read out
-    (`entries`, `max_abs`, `IntegrableQuotient.descend`).
+    (`entries`, `max_abs`).
     """
 
     def __init__(self, space, shift: int, hi: int, blocks: dict,
@@ -435,65 +436,52 @@ def gram_blocks(module: InducedModule) -> list:
     return blocks
 
 
-def _pivot_columns(rows) -> list[int]:
-    span = IntSpan()
-    for row in rows:
-        span.add({j: v for j, v in enumerate(row) if v})
-    return sorted(span.pivots)
-
-
 class IntegrableQuotient:
     """Degreewise quotient of an induced module by the radical of b.
 
     `gram[n]` is the integer Gram block G_n of `gram_blocks`.  Every one
     satisfies G_n^T = (-1)^mu G_n, so the left and right radicals of b
     coincide and one quotient serves both slots.  `kept[n]` holds the
-    indices of the basis elements representing the degree-n quotient, and
-    `gram_inverse[n]` is the inverse H_n^-1 of the degree-n Gram block
-    between the kept bases.  The quotient map sends a degree-n coordinate
-    vector v to H_n^-1 G_n[kept, :] v; `descend` applies it.
+    indices of the basis elements representing the degree-n quotient; the
+    kept Gram block H_n = G_n[kept, kept] is the quotient pairing.
     """
 
-    def __init__(self, gram: list, kept: dict, gram_inverse: dict):
+    def __init__(self, gram: list, kept: dict):
         self.gram = gram
         self.kept = kept
-        self.gram_inverse = gram_inverse
 
     def dim(self, n: int) -> int:
         return len(self.kept.get(n, ()))
 
-    def descend(self, op: GradedOperator, n: int) -> list:
-        """Quotient matrix of an operator in either slot of b, input degree n.
+    def pairing(self, op: GradedOperator, n: int) -> list:
+        """G_m[kept, :] op[:, kept] at input degree n, m = n - shift, on integers.
 
-        G_m[kept, :] op[:, kept] is paired on integers; the kept inverse and
-        the operator's factor are then applied once.
+        It pairs the operator's integer blocks; its factor is left to the caller.
         """
         m = n - op.shift
         if m not in self.kept or n not in self.kept:
             raise InputError(f"degrees ({n},{m}) outside quotient bound")
         blk = op.block(n)
         gram = self.gram[m]
-        paired = mat_mul([gram[i] for i in self.kept[m]],
-                         [[blk.get((r, c), 0) for c in self.kept[n]] for r in range(len(gram))])
-        return [[op.factor * x for x in row] for row in mat_mul(self.gram_inverse[m], paired)]
+        return mat_mul([gram[i] for i in self.kept[m]],
+                       [[blk.get((r, c), 0) for c in self.kept[n]] for r in range(len(gram))])
 
 
 def integrable_quotient(module: InducedModule) -> IntegrableQuotient:
     """Quotient by the radical of b, computed degree by degree."""
     gram = gram_blocks(module)
     sign = (-1) ** module.mu
-    kept, gram_inverse = {}, {}
+    kept = {}
     for n, g in enumerate(gram):
         if transpose(g) != [[sign * v for v in row] for row in g]:
             raise InternalError(f"degree-{n} Gram matrix is not (-1)^mu-symmetric")
-        k = kept[n] = _pivot_columns(g)
-        try:
-            gram_inverse[n] = invert([[g[i][j] for j in k] for i in k])
-        except ValueError:
-            raise InternalError(f"degree-{n} quotient pairing is not perfect") from None
+        span = IntSpan()
+        for row in g:
+            span.add({j: v for j, v in enumerate(row) if v})
+        kept[n] = sorted(span.pivots)
     if len(kept[0]) != module.mu + 1:
         raise InternalError("degree-0 pairing is singular; b_mu must be perfect")
-    return IntegrableQuotient(gram=gram, kept=kept, gram_inverse=gram_inverse)
+    return IntegrableQuotient(gram=gram, kept=kept)
 
 
 class GluingTensorSeries:
@@ -513,28 +501,36 @@ class GluingTensorSeries:
 def gluing_tensor(level: int, mu: int, d: int) -> GluingTensorSeries:
     """The glueing element of degree <= d, with its defining recursion verified.
 
-    epsilon_n lives in H+_n (x) H-_n (quotient bases); the recursion
-    (X t+^n (x) 1) eps_{dp+n} + (1 (x) X t-^{-n}) eps_dp = 0 is checked on
-    construction for every generator, |n| <= 2 and every dp within the degree
-    bound, the n = 0 case being plain g-invariance.
+    epsilon_n = H_n^-T lives in H+_n (x) H-_n (quotient bases), checked by
+    eps_n H_n^T = I.  Given that and H^T = (-1)^mu H, the recursion
+    (X t+^n (x) 1) eps_{dp+n} + (1 (x) X t-^{-n}) eps_dp = 0 is the integer
+    identity P(n, dp+n) = -(-1)^mu P(-n, dp)^T between the pairings of X t^n
+    and X t^-n, checked on construction for every generator, |n| <= 2 and
+    every dp within the degree bound, the n = 0 case being g-invariance.
     """
     module = induced_module(level, mu, d)
     quot = integrable_quotient(module)
-    terms = [transpose(quot.gram_inverse[n]) for n in range(d + 1)]
-    top, names = min(2, d), module.algebra.gen_names
-    # X_g t^n at input degree k on the quotient, built once for every instance
-    quotient_of = {(n, g, k): quot.descend(module.action(n, g), k)
-                   for n in range(-top, top + 1) for g in range(len(names))
-                   for k in range(max(0, n), min(d, d + n) + 1)}
+    terms = []
+    for n in range(d + 1):
+        block = [[quot.gram[n][i][j] for j in quot.kept[n]] for i in quot.kept[n]]
+        try:
+            eps = transpose(invert(block))
+        except ValueError:
+            raise InternalError(f"degree-{n} quotient pairing is not perfect") from None
+        if mat_mul(eps, transpose(block)) != identity(len(block)):
+            raise InternalError(f"eps_{n} does not invert the degree-{n} quotient pairing")
+        terms.append(eps)
+    top, names, sign = min(2, d), module.algebra.gen_names, (-1) ** mu
+    # X_g t^n at input degree k, paired once for every instance
+    pairing_of = {(n, g, k): quot.pairing(module.action(n, g), k)
+                  for n in range(-top, top + 1) for g in range(len(names))
+                  for k in range(max(0, n), min(d, d + n) + 1)}
     residuals = []
     for n in range(-top, top + 1):
         for g, gen in enumerate(names):
             for dp in range(max(0, -n), min(d, d - n) + 1):
-                # (X t+^n (x) 1) eps_{dp+n} = A . M_{dp+n};
-                # (1 (x) X t-^{-n}) eps_dp = M_dp . B^T
-                lhs = mat_mul(quotient_of[n, g, dp + n], terms[dp + n])
-                rhs = mat_mul(terms[dp], transpose(quotient_of[-n, g, dp]))
-                if lhs != [[-x for x in row] for row in rhs]:
+                rhs = transpose(pairing_of[-n, g, dp])
+                if pairing_of[n, g, dp + n] != [[-sign * x for x in row] for row in rhs]:
                     raise InternalError(
                         f"gluing recursion fails at n={n}, gen={gen}, degree {dp}")
                 residuals.append((n, gen, dp))

@@ -30,16 +30,16 @@ from .linalg import mat_mul
 class FusionAlphabet:
     """The labels of one (algebra, level); `dual[i]` is the position of labels[i]*.
 
-    Read-only.  `_pos` maps a label to its position and `_rows` memoizes the
-    fusion rows.  `alphabet` builds one instance per (rs, level), so equality
-    is identity.
+    Read-only.  `_pos` maps a label to its position.  `alphabet` builds one
+    instance per (rs, level), so equality is identity, and the fusion rows are
+    memoized per instance by `_truncated_product`.
     """
 
-    __slots__ = ("rs", "level", "labels", "dual", "_pos", "_rows")
+    __slots__ = ("rs", "level", "labels", "dual", "_pos")
 
     def __init__(self, rs: RootSystem, level: int, labels: tuple[Weight, ...],
-                 dual: tuple[int, ...], _pos: dict, _rows: dict | None = None):
-        values = (rs, level, labels, dual, _pos, {} if _rows is None else _rows)
+                 dual: tuple[int, ...], _pos: dict):
+        values = (rs, level, labels, dual, _pos)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
@@ -61,17 +61,7 @@ class FusionAlphabet:
 
     def row(self, i: int, j: int) -> tuple[int, ...]:
         """N(labels[i], labels[j], labels[k]) for every position k, memoized."""
-        row = self._rows.get((i, j))
-        if row is None:
-            lam, mu = self.labels[i], self.labels[j]
-            counts = [0] * len(self.labels)
-            for sigma, m in _truncated_product(self.rs, self.level, lam, mu).items():
-                if sigma not in self._pos:
-                    raise InternalError(f"fusion axiom 'closure' violated: {lam} x {mu} "
-                                        f"contains {sigma} outside the alphabet")
-                counts[self.dual[self._pos[sigma]]] = m
-            row = self._rows[i, j] = tuple(counts)
-        return row
+        return _truncated_product(self, i, j)
 
 
 @lru_cache(maxsize=None)
@@ -99,8 +89,10 @@ def alphabet(rs: RootSystem, level: int) -> FusionAlphabet:
 
 
 @lru_cache(maxsize=None)
-def _truncated_product(rs: RootSystem, level: int, lam: Weight, mu: Weight) -> dict[Weight, int]:
-    """Kac-Walton: fold the weights of the smaller factor, shifted by the other + rho."""
+def _truncated_product(alph: FusionAlphabet, i: int, j: int) -> tuple[int, ...]:
+    """The row N(labels[i], labels[j], .) by Kac-Walton: fold the weights of
+    the smaller factor, shifted by the other + rho, then index by the duals."""
+    rs, level, lam, mu = alph.rs, alph.level, alph.labels[i], alph.labels[j]
     small, big = (lam, mu) if weyl_dim(rs, lam) <= weyl_dim(rs, mu) else (mu, lam)
     # heights are pair(x, theta) = D * (x, theta), compared against (l + h) * D
     denominator = rs.denominator
@@ -136,7 +128,13 @@ def _truncated_product(rs: RootSystem, level: int, lam: Weight, mu: Weight) -> d
     out = {nu: m for nu, m in out.items() if m}
     if any(m < 0 for m in out.values()):
         raise InternalError(f"negative fusion multiplicity in {lam} x {mu} at level {level}")
-    return out
+    counts = [0] * len(alph.labels)
+    for sigma, m in out.items():
+        if sigma not in alph._pos:
+            raise InternalError(f"fusion axiom 'closure' violated: {lam} x {mu} "
+                                f"contains {sigma} outside the alphabet")
+        counts[alph.dual[alph._pos[sigma]]] = m
+    return tuple(counts)
 
 
 def fusion_coeff(alph: FusionAlphabet, lam, mu, nu) -> int:

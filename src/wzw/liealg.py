@@ -30,7 +30,7 @@ from itertools import product
 from math import lcm
 
 from .errors import InputError, InternalError
-from .linalg import commutator, det, identity, invert, is_zero, mat_mul
+from .linalg import commutator, identity, invert, is_zero, mat_mul
 
 Weight = tuple[int, ...]
 
@@ -118,16 +118,19 @@ def root_system(name: str) -> RootSystem:
 
 
 def _root_system(series: str, rank: int, cartan) -> RootSystem:
-    """Root data of a Cartan matrix, with its definiteness and normalization checked."""
+    """Root data of a Cartan matrix, with its finite type and normalization checked."""
     d = _half_lengths(cartan)
 
-    # positive-definiteness of the symmetrization d_i * a_ij (leading minors > 0)
-    sym = [[d[i] * cartan[i][j] for j in range(rank)] for i in range(rank)]
-    for k in range(1, rank + 1):
-        if det([row[:k] for row in sym[:k]]) <= 0:
-            raise InternalError(f"Cartan symmetrization not positive definite for {series}{rank}")
-
-    ainv = invert(cartan)
+    # a connected Cartan matrix A is of finite type exactly when A^-1 has
+    # positive entries (Kac, Infinite-dimensional Lie algebras, Thm 4.3: then
+    # u = A^-1 (1, ..., 1) > 0 and A u > 0); a singular A is not
+    try:
+        ainv = invert(cartan)
+        finite = all(x > 0 for row in ainv for x in row)
+    except ValueError:
+        finite = False
+    if not finite:
+        raise InternalError(f"Cartan matrix of {series}{rank} is not of finite type")
     form = [[ainv[j][i] * d[j] for j in range(rank)] for i in range(rank)]
     for i in range(rank):
         for j in range(rank):

@@ -1,12 +1,12 @@
 """Exact linear algebra over the rationals: the package's one matrix kernel.
 
-Every dense exact matrix product, transpose, inverse and determinant in the
-package goes through here.  Two layers:
+Every dense exact matrix product, transpose and inverse in the package goes
+through here.  Two layers:
 
 * dense exact matrices (lists of lists of ``int`` or ``Fraction``):
-  products, commutators, transposes, inverse and determinant for the Cartan
-  data and the sl2 irreps (liealg), the fusion matrices (fusion), the KZ
-  connection (kz) and the quotient pairing and gluing tensor (fock).
+  products, commutators, transposes and the inverse for the Cartan data and
+  the sl2 irreps (liealg), the fusion matrices (fusion), the KZ connection
+  (kz) and the quotient pairing and gluing tensor (fock).
   A product of integer matrices stays integer;
 * ``IntSpan``, an incremental fraction-free row-space accumulator over the
   integers, used for the large sparse rank computations in the oracle, kz and
@@ -82,27 +82,6 @@ def invert(a: Mat) -> Mat:
                 f = m[i][c]
                 m[i] = [x - f * y for x, y in zip(m[i], m[c])]
     return [row[n:] for row in m]
-
-
-def det(a) -> Fraction:
-    """Determinant of a square matrix of rationals (or integers)."""
-    m = [[Fraction(x) for x in row] for row in a]
-    n = len(m)
-    out = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c]), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            out = -out
-        out *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return out
 
 
 def strides(dims) -> list[int]:

@@ -133,12 +133,30 @@ def test_kz_transport_rejects_non_finite_coordinates(tmp_path, first):
     assert "finite" in out.stderr
 
 
-@pytest.mark.parametrize("first", ["[1e300, 0]", "[1.7e308, 1.7e308]"])
+@pytest.mark.parametrize("first", ["[1e300, 0]", "[1.7e308, 1.7e308]", f"[1{'0' * 400}, 0]"])
 def test_kz_transport_rejects_overflowing_coordinates(tmp_path, first):
     out = _transport_with_first_point(tmp_path, first)
     assert out.returncode == 1
     assert out.stdout == ""
     assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
+
+
+def test_kz_transport_rejects_a_boolean_coordinate(tmp_path):
+    out = _transport_with_first_point(tmp_path, "[2, true]")
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert "number pairs" in out.stderr
+
+
+def test_kz_transport_rejects_a_closed_flag_that_is_not_a_boolean(tmp_path):
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"points": [[[2, 0], [0, 0], [-2, 0]],
+                                           [[2, 1], [0, 0], [-2, 0]]], "closed": "false"}))
+    out = run_cli("kz", "transport", "--level", "2", "--labels", "1,1,2",
+                  "--path", str(path), "--steps", "200")
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert '"closed"' in out.stderr
 
 
 def test_kz_transport_under_resolved_path_is_an_input_error(tmp_path):

@@ -365,31 +365,45 @@ def test_gluing_tensor_shape_and_recursion():
 
 
 def test_gluing_tensor_raises_on_a_broken_recursion(monkeypatch):
-    real_descend = fock.IntegrableQuotient.descend
+    real_pairing = fock.IntegrableQuotient.pairing
 
     def doubled(self, op, n):
-        out = real_descend(self, op, n)
+        out = real_pairing(self, op, n)
         return [[2 * x for x in row] for row in out] if op.shift == 1 else out
 
-    monkeypatch.setattr(fock.IntegrableQuotient, "descend", doubled)
+    monkeypatch.setattr(fock.IntegrableQuotient, "pairing", doubled)
     with pytest.raises(InternalError, match="n=-1"):
         gluing_tensor(1, 1, 4)
 
 
 def test_gluing_tensor_descends_each_quotient_matrix_once(monkeypatch):
-    # one descend per (n, generator, input degree): at d = 6, 3 generators x
+    # one pairing per (n, generator, input degree): at d = 6, 3 generators x
     # (7 degrees for n = 0, 6 for each n = +-1, 5 for each n = +-2)
-    real_descend = fock.IntegrableQuotient.descend
+    real_pairing = fock.IntegrableQuotient.pairing
     calls = []
 
     def counted(self, op, n):
         calls.append((id(op), n))
-        return real_descend(self, op, n)
+        return real_pairing(self, op, n)
 
-    monkeypatch.setattr(fock.IntegrableQuotient, "descend", counted)
+    monkeypatch.setattr(fock.IntegrableQuotient, "pairing", counted)
     gluing_tensor(1, 1, 6)
     assert len(calls) == 87
     assert len(set(calls)) == 87
+
+
+def test_gluing_tensor_checks_each_eps_inverts_its_pairing(monkeypatch):
+    # doubling every inverse larger than 2x2 leaves the integer recursion as
+    # it was; only eps_n H_n^T = I sees it, first at degree 2
+    real_invert = fock.invert
+
+    def doubled(a):
+        out = real_invert(a)
+        return [[2 * x for x in row] for row in out] if len(a) > 2 else out
+
+    monkeypatch.setattr(fock, "invert", doubled)
+    with pytest.raises(InternalError, match="eps_2"):
+        gluing_tensor(1, 1, 6)
 
 
 def test_gluing_eps0_inverts_pairing():

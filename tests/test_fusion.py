@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wzw.errors import InputError
-from wzw.fusion import FusionRing, alphabet, fusion_coeff, fusion_table
+from wzw.fusion import FusionRing, _truncated_product, alphabet, fusion_coeff, fusion_table
 from wzw.liealg import build_root_system, dual_weight
 
 
@@ -23,6 +23,16 @@ def test_alphabet_a1():
     alph = alphabet(rs, 3)
     assert alph.labels == ((0,), (1,), (2,), (3,))
     assert (3,) in alph and (4,) not in alph
+
+
+def test_fusion_rows_are_memoized_once_per_product():
+    alph = alphabet(build_root_system("A", 2), 3)
+    _truncated_product.cache_clear()
+    fusion_table(alph)
+    assert _truncated_product.cache_info().currsize == len(alph.labels) ** 2
+    hits = _truncated_product.cache_info().hits
+    alph.row(1, 2)
+    assert _truncated_product.cache_info().hits == hits + 1
 
 
 def test_alphabet_a2():

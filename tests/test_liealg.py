@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wzw import cli
-from wzw.errors import InputError
-from wzw.fusion import _truncated_product
+from wzw.errors import InputError, InternalError
+from wzw.fusion import alphabet
 from wzw.liealg import (_root_system, build_root_system, casimir_eigenvalue,
                         dominant_with_sign, dual_weight, level_of, parse_algebra,
                         sl2_irrep_matrices, weight_multiplicities, weyl_dim)
@@ -35,6 +35,13 @@ def root_data(series, rank):
     if cartan is None:
         return build_root_system(series, rank)
     return _root_system(series, rank, cartan)
+
+
+@pytest.mark.parametrize("cartan", [((2, -2), (-2, 2)), ((2, -3), (-3, 2))],
+                         ids=["affine", "hyperbolic"])
+def test_root_data_rejects_a_cartan_matrix_not_of_finite_type(cartan):
+    with pytest.raises(InternalError, match="X2"):
+        _root_system("X", 2, cartan)
 
 
 def test_parse_algebra():
@@ -145,9 +152,11 @@ def test_weight_multiplicities_sum_to_weyl_dim(series, rank):
 
 
 def tensor_decompose(rs, mu, nu):
-    """The classical V_mu (x) V_nu: Kac-Walton at level(mu) + level(nu), where
+    """The classical V_mu (x) V_nu: the fusion row at level(mu) + level(nu), where
     every summand has level at most l, so none reaches the affine wall."""
-    return _truncated_product(rs, level_of(rs, mu) + level_of(rs, nu), mu, nu)
+    alph = alphabet(rs, level_of(rs, mu) + level_of(rs, nu))
+    row = alph.row(alph.index(mu), alph.index(nu))  # N(mu, nu, k) counts labels[k]*
+    return {alph.labels[alph.dual[k]]: n for k, n in enumerate(row) if n}
 
 
 def test_tensor_decompose_clebsch_gordan():
