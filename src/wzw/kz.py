@@ -166,15 +166,15 @@ def kz_system(level: int, labels) -> KZSystem:
 
 
 def flatness_check(system: KZSystem) -> bool:
-    """Kohno relations: exact flatness of the log-form connection."""
+    """Kohno relations, exact: [A_ij, S] = [A_ik, S] = 0 on each triple i<j<k,
+    with S = A_ij + A_ik + A_jk, and [A_ij, A_kl] = 0 on disjoint pairs."""
     n, mats = system.n, system.a_matrices
     if system.dim == 0 or n == 2:
         return True
-    # [A_one, A_two + A_three] = 0, written as [A_one, A_two] = [A_three, A_one]
+    # [A_one, A_two + A_three] = 0, written as [A_one, A_two] = [A_three, A_one]; the
+    # third ordering, [A_jk, S] = 0, is implied: the three [A_x, S] sum to [S, S] = 0
     for i, j, k in combinations(range(n), 3):
-        trips = (((i, j), (i, k), (j, k)), ((i, k), (i, j), (j, k)),
-                 ((j, k), (i, j), (i, k)))
-        for one, two, three in trips:
+        for one, two, three in (((i, j), (i, k), (j, k)), ((i, k), (i, j), (j, k))):
             if commutator(mats[one], mats[two]) != commutator(mats[three], mats[one]):
                 return False
     for (i, j), (k, l) in combinations(mats.keys(), 2):

@@ -28,6 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import lcm
+from types import MappingProxyType
 
 from .errors import InputError, InternalError
 from .linalg import commutator, identity, invert, is_zero, mat_mul
@@ -312,33 +313,24 @@ def _dominant_weights(rs: RootSystem, mu: Weight) -> dict[Weight, int]:
     return mults
 
 
-def _weyl_orbit(rs: RootSystem, lam: Weight) -> set[tuple]:
-    orbit = {lam}
-    frontier = [lam]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for i in range(rs.rank):
-                if w[i]:
-                    r = rs.reflect(w, i)
-                    if r not in orbit:
-                        orbit.add(r)
-                        nxt.append(r)
-        frontier = nxt
-    return orbit
-
-
-def weight_multiplicities(rs: RootSystem, mu) -> dict[tuple, int]:
-    """The full weight diagram of V_mu as a map weight -> multiplicity."""
+@lru_cache(maxsize=None)
+def weight_multiplicities(rs: RootSystem, mu) -> MappingProxyType:
+    """The weight diagram of V_mu, read-only: built and checked to sum to
+    `weyl_dim` once per (algebra, label), each Weyl orbit by a reflection walk."""
     mu = _require_dominant(rs, mu)
     out: dict[tuple, int] = {}
     for lam, m in _dominant_weights(rs, mu).items():
-        for w in _weyl_orbit(rs, lam):
-            out[w] = m
+        out[lam] = m
+        orbit = [lam]
+        for w in orbit:
+            for i in range(rs.rank):
+                if w[i] and (r := rs.reflect(w, i)) not in out:
+                    out[r] = m
+                    orbit.append(r)
     total = sum(out.values())
     if total != weyl_dim(rs, mu):
         raise InternalError(f"weight diagram of {mu} sums to {total}, not weyl_dim")
-    return out
+    return MappingProxyType(out)
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +342,9 @@ class RepMatrices(namedtuple("RepMatrices", "E F H")):
     __slots__ = ()
 
 
+@lru_cache(maxsize=None)
 def sl2_irrep_matrices(m: int) -> RepMatrices:
-    """E, F, H on the basis v_0 (highest) .. v_m, with F v_j = v_{j+1}."""
+    """E, F, H on the basis v_0 (highest) .. v_m, with F v_j = v_{j+1}; checked once per m."""
     if not isinstance(m, int) or m < 0:
         raise InputError(f"sl2 label must be a nonnegative integer, got {m!r}")
     n = m + 1

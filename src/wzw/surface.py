@@ -22,9 +22,7 @@ linear in the genus.
 
 from __future__ import annotations
 
-import cmath
 import itertools
-import math
 from collections import namedtuple
 from fractions import Fraction
 
@@ -248,7 +246,8 @@ def block_dimension(surface: MarkedSurface, graph: TrivalentGraph | None = None)
 
 
 class TwistEigenvalue(namedtuple("TwistEigenvalue", "exponent")):
-    """Dehn-twist action exp(-i pi r) on a block summand, r rational in [0,2)."""
+    """Dehn-twist action exp(-i pi r) on a block summand, held exactly: r is a
+    rational in [0,2), and the eigenvalue is only ever its text form."""
 
     __slots__ = ()
 
@@ -256,9 +255,6 @@ class TwistEigenvalue(namedtuple("TwistEigenvalue", "exponent")):
         if not 0 <= exponent < 2:
             raise InputError(f"exponent {exponent} not reduced mod 2")
         return super().__new__(cls, exponent)
-
-    def eigenvalue(self) -> complex:
-        return cmath.exp(-1j * math.pi * float(self.exponent))
 
     def eigenvalue_text(self) -> str:
         r = self.exponent

@@ -4,6 +4,7 @@ imports its layer functions when it runs, so a fault goes into the module that
 defines the function."""
 
 import cmath
+from fractions import Fraction
 
 from wzw import checks, fock, kz, oracle, surface
 from wzw.fock import GluingTensorSeries
@@ -52,6 +53,35 @@ def test_kz_transport_names_the_liouville_row(monkeypatch):
     assert result.passed is False
     assert result.detail.startswith("failed: liouville-determinant ({'name': "
                                     "'liouville-determinant', 'trace': '-1/8', 'gap': 0.156")
+
+
+def test_kz_transport_names_a_trivial_monodromy(monkeypatch):
+    real = kz.parallel_transport
+    contractible = [(2, 0, -2), (2 + 1j, 0, -2), (3 + 1j, 0, -2), (3, 0, -2), (2, 0, -2)]
+
+    def never_around_z1(system, path, **kwargs):
+        # the loop around z_1 comes back with the contractible loop's holonomy
+        return real(system, contractible if path[1] == (2 + 3j, 0, -2) else path, **kwargs)
+
+    monkeypatch.setattr(kz, "parallel_transport", never_around_z1)
+    result = checks.kz_transport()
+    assert result.passed is False
+    assert result.detail.startswith("failed: encircling-loop ({'name': 'encircling-loop', "
+                                    "'difference': 0.0})")
+
+
+def test_dehn_twists_counts_a_wrong_special_text(monkeypatch):
+    real = surface.TwistEigenvalue.eigenvalue_text
+    assert checks.dehn_twists().detail.startswith("6/23 failures, first A1,l=1,mu=(1,)")
+
+    def off_at_one_half(self):
+        return "exp(i*pi/2)" if self.exponent == Fraction(1, 2) else real(self)
+
+    monkeypatch.setattr(surface.TwistEigenvalue, "eigenvalue_text", off_at_one_half)
+    result = checks.dehn_twists()
+    assert result.passed is False
+    assert result.detail == ("7/23 failures, first A1,l=1,mu=(1,): 3(l+h)r not an "
+                             "integer (3(l+h)r = 9/2)")
 
 
 def test_gluing_recursion_counts_its_rows(monkeypatch):

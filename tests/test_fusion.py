@@ -1,14 +1,16 @@
 """Fusion alphabets, Kac-Walton coefficients, and ring axioms."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wzw.errors import InputError
+from wzw import fusion
+from wzw.errors import InputError, InternalError
 from wzw.fusion import FusionRing, _truncated_product, alphabet, fusion_coeff, fusion_table
-from wzw.liealg import build_root_system, dual_weight
+from wzw.liealg import build_root_system, dual_weight, weight_multiplicities
 
 
 def a1_rule(level, l, m, n):
@@ -28,11 +30,68 @@ def test_alphabet_a1():
 def test_fusion_rows_are_memoized_once_per_product():
     alph = alphabet(build_root_system("A", 2), 3)
     _truncated_product.cache_clear()
+    weight_multiplicities.cache_clear()
     fusion_table(alph)
-    assert _truncated_product.cache_info().currsize == len(alph.labels) ** 2
+    assert _truncated_product.cache_info().currsize == len(alph.labels) ** 2 == 100
+    # each label's weight diagram is built once, not once per product
+    assert 0 < weight_multiplicities.cache_info().misses <= len(alph.labels)
     hits = _truncated_product.cache_info().hits
     alph.row(1, 2)
     assert _truncated_product.cache_info().hits == hits + 1
+
+
+@pytest.fixture
+def fresh_memos():
+    """Empty row and diagram memos, before and after: a memoized row would hide
+    an injected fault, and a broken one would leak into later tests."""
+    for memo in (_truncated_product, weight_multiplicities):
+        memo.cache_clear()
+    yield
+    for memo in (_truncated_product, weight_multiplicities):
+        memo.cache_clear()
+
+
+def break_rows(monkeypatch, entries):
+    """Route every row through fusion._truncated_product with +1 at each (i, j, k)."""
+    real = fusion._truncated_product
+
+    def broken(alph, i, j):
+        row = list(real(alph, i, j))
+        for a, b, k in entries:
+            if (a, b) == (i, j):
+                row[k] += 1
+        return tuple(row)
+
+    monkeypatch.setattr(fusion, "_truncated_product", broken)
+
+
+def s3_orbit(triple):
+    return set(itertools.permutations(triple))
+
+
+@pytest.mark.parametrize("entries,level,message", [
+    # (12)-symmetric, so only the (23) transposition sees it
+    ({(1, 2, 3), (2, 1, 3)}, 3, "fusion axiom 'symmetry' violated at ((1,),(2,),(3,))"),
+    (s3_orbit((0, 1, 1)), 3, "fusion axiom 'unit/duality' violated at (0,(1,))"),
+    # fully symmetric and off the unit row: only M_1 M_2 = M_2 M_1 can fail, at
+    # the pair with the last label (1) x (2)
+    (s3_orbit((2, 2, 2)), 2, "fusion axiom 'associativity' violated: "
+                             "M_(1,) and M_(2,) do not commute"),
+], ids=["symmetry-23", "unit-duality", "associativity-last-label"])
+def test_fusion_table_rejects_a_broken_row(monkeypatch, fresh_memos, entries, level,
+                                           message):
+    break_rows(monkeypatch, entries)
+    with pytest.raises(InternalError, match=f"^{re.escape(message)}$"):
+        fusion_table(alphabet(build_root_system("A", 1), level))
+
+
+def test_kac_walton_rejects_a_negative_multiplicity(monkeypatch, fresh_memos):
+    real = fusion.weight_multiplicities
+    monkeypatch.setattr(fusion, "weight_multiplicities",
+                        lambda rs, mu: {w: -m for w, m in real(rs, mu).items()})
+    message = "negative fusion multiplicity in (1,) x (1,) at level 2"
+    with pytest.raises(InternalError, match=f"^{re.escape(message)}$"):
+        alphabet(build_root_system("A", 1), 2).row(1, 1)
 
 
 def test_alphabet_a2():

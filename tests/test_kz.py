@@ -120,6 +120,36 @@ def test_flatness_samples():
         assert flatness_check(kz_system(level, labels))
 
 
+# two 2 x 2 matrices that do not commute: [N, H] = -2N
+NILPOTENT, CARTAN = [[0, 1], [0, 0]], [[1, 0], [0, -1]]
+ZERO = [[0, 0], [0, 0]]
+
+
+def hand_built(n, nonzero):
+    """A KZSystem on a 2-dimensional block with A_ij = nonzero.get((i, j), 0)."""
+    mats = {pair: nonzero.get(pair, ZERO) for pair in itertools.combinations(range(n), 2)}
+    return KZSystem(1, (1,) * n, 2, 2, mats, False, tuple(range(n)))
+
+
+def test_flatness_check_reads_the_disjoint_pairs():
+    # only A_01 and A_23 are nonzero: every triple relation holds, [A_01, A_23] != 0
+    assert not flatness_check(hand_built(4, {(0, 1): NILPOTENT, (2, 3): CARTAN}))
+    assert flatness_check(hand_built(4, {(0, 1): NILPOTENT, (2, 3): NILPOTENT}))
+
+
+def test_flatness_check_reads_the_second_ordering():
+    # A_01 = 0, so [A_01, S] = 0 holds and only [A_02, S] = [A_02, A_12] != 0 fails
+    assert not flatness_check(hand_built(3, {(0, 2): NILPOTENT, (1, 2): CARTAN}))
+    assert flatness_check(hand_built(3, {(0, 2): NILPOTENT, (1, 2): NILPOTENT}))
+
+
+def test_sl2_irreps_are_built_once_per_label():
+    sl2_irrep_matrices.cache_clear()
+    for level, labels in [(2, (1, 1, 2)), (3, (1, 2, 3)), (2, (2, 2)), (3, (3, 1, 1, 3))]:
+        kz_system(level, labels)
+    assert sl2_irrep_matrices.cache_info().misses == 3
+
+
 RESIDUE_SAMPLES = [(1, (1, 1, 1, 1)), (2, (1, 1, 2)), (2, (2, 2, 2, 2)), (3, (1, 2, 3)),
                    (3, (3, 3, 3, 3)), (5, (3, 3, 3, 3)), (5, (2, 2, 2, 2, 2))]
 

@@ -151,6 +151,13 @@ def test_weight_multiplicities_sum_to_weyl_dim(series, rank):
         assert sum(weight_multiplicities(rs, mu).values()) == weyl_dim(rs, mu)
 
 
+def test_weight_diagram_is_read_only():
+    diagram = weight_multiplicities(build_root_system("A", 2), (1, 1))
+    with pytest.raises(TypeError):
+        diagram[(0, 0)] = 3
+    assert diagram[(0, 0)] == 2
+
+
 def tensor_decompose(rs, mu, nu):
     """The classical V_mu (x) V_nu: the fusion row at level(mu) + level(nu), where
     every summand has level at most l, so none reaches the affine wall."""

@@ -213,7 +213,6 @@ def test_dehn_twist_values():
     tw = dehn_twist_eigenvalue(A1, 1, (1,))
     assert tw.exponent == Fraction(1, 2)
     assert tw.eigenvalue_text() == "exp(-i*pi/2)"
-    assert abs(tw.eigenvalue() - (-1j)) < 1e-15
     assert dehn_twist_eigenvalue(A1, 2, (2,)).eigenvalue_text() == "-1"
     assert dehn_twist_eigenvalue(A1, 3, (0,)).eigenvalue_text() == "1"
 
