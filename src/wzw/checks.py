@@ -371,20 +371,18 @@ def kz_transport() -> CheckResult:
 def gluing_recursion() -> CheckResult:
     """Recursion identity for the gluing series and eps_0 = inverse pairing.
 
-    gluing_tensor has verified every recursion residual; the ones with
-    dp <= dmax are counted from series.residuals.
+    gluing_tensor verifies eps_d H_d^T = I at every degree and every recursion
+    residual, and raises InternalError on the first that fails; eps_0 and the
+    residuals with dp <= dmax are counted.
     """
     from .fock import gluing_tensor
-    from .linalg import mat_mul, transpose
-    cases, bad = 0, []
+    cases = 0
     for mu in (0, 1):
         series = gluing_tensor(1, mu, GLUING_DEGREE)
-        cases += sum(dp <= GLUING_DMAX for _, _, dp in series.residuals) + 1
-        if _identity_deviation(mat_mul(transpose(series.quotient.gram[0]), series.terms[0])):
-            bad.append(f"mu={mu},eps0-inverse-pairing")
-    detail = (f"{cases} recursion and pairing identities, all residuals 0"
-              if not bad else _failures(cases, bad, "nonzero"))
-    return CheckResult("gluing-recursion", not bad, detail)
+        # eps_0 is the first term
+        cases += sum(dp <= GLUING_DMAX for _, _, dp in series.residuals) + len(series.terms[:1])
+    return CheckResult("gluing-recursion", True,
+                       f"{cases} recursion and pairing identities, all residuals 0")
 
 
 def rank_z_independence() -> CheckResult:

@@ -487,13 +487,13 @@ def integrable_quotient(module: InducedModule) -> IntegrableQuotient:
 class GluingTensorSeries:
     """epsilon_d = transpose inverse of the quotient Gram blocks of b_mu.
 
-    terms[d] is the matrix of epsilon_d over the kept bases; residuals holds
-    (n, generator name, dp) for every checked instance of the recursion, each
-    one zero: gluing_tensor raises on the first that is not.
+    terms[d] is the matrix of epsilon_d over the kept bases, checked to invert
+    the degree-d pairing; residuals holds (n, generator name, dp) for every
+    checked instance of the recursion, each one zero: gluing_tensor raises on
+    the first identity that fails.
     """
 
-    def __init__(self, quotient: IntegrableQuotient, terms: list, residuals: list):
-        self.quotient = quotient
+    def __init__(self, terms: list, residuals: list):
         self.terms = terms
         self.residuals = residuals
 
@@ -534,4 +534,4 @@ def gluing_tensor(level: int, mu: int, d: int) -> GluingTensorSeries:
                     raise InternalError(
                         f"gluing recursion fails at n={n}, gen={gen}, degree {dp}")
                 residuals.append((n, gen, dp))
-    return GluingTensorSeries(quotient=quot, terms=terms, residuals=residuals)
+    return GluingTensorSeries(terms=terms, residuals=residuals)

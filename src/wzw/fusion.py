@@ -28,18 +28,19 @@ from .linalg import mat_mul
 
 
 class FusionAlphabet:
-    """The labels of one (algebra, level); `dual[i]` is the position of labels[i]*.
+    """The labels of one (algebra, level); `dual[i]` is the position of labels[i]*
+    and `weyl_dims[i]` the dimension of V_labels[i].
 
     Read-only.  `_pos` maps a label to its position.  `alphabet` builds one
     instance per (rs, level), so equality is identity, and the fusion rows are
     memoized per instance by `_truncated_product`.
     """
 
-    __slots__ = ("rs", "level", "labels", "dual", "_pos")
+    __slots__ = ("rs", "level", "labels", "dual", "weyl_dims", "_pos")
 
     def __init__(self, rs: RootSystem, level: int, labels: tuple[Weight, ...],
-                 dual: tuple[int, ...], _pos: dict):
-        values = (rs, level, labels, dual, _pos)
+                 dual: tuple[int, ...], weyl_dims: tuple[int, ...], _pos: dict):
+        values = (rs, level, labels, dual, weyl_dims, _pos)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
@@ -85,7 +86,7 @@ def alphabet(rs: RootSystem, level: int) -> FusionAlphabet:
             raise InternalError(f"alphabet of {rs.name} level {level} not dual-closed at {mu}")
         dual.append(pos[star])
     return FusionAlphabet(rs=rs, level=level, labels=tuple(labels), dual=tuple(dual),
-                          _pos=pos)
+                          weyl_dims=tuple(weyl_dim(rs, mu) for mu in labels), _pos=pos)
 
 
 @lru_cache(maxsize=None)
@@ -93,7 +94,7 @@ def _truncated_product(alph: FusionAlphabet, i: int, j: int) -> tuple[int, ...]:
     """The row N(labels[i], labels[j], .) by Kac-Walton: fold the weights of
     the smaller factor, shifted by the other + rho, then index by the duals."""
     rs, level, lam, mu = alph.rs, alph.level, alph.labels[i], alph.labels[j]
-    small, big = (lam, mu) if weyl_dim(rs, lam) <= weyl_dim(rs, mu) else (mu, lam)
+    small, big = (lam, mu) if alph.weyl_dims[i] <= alph.weyl_dims[j] else (mu, lam)
     # heights are pair(x, theta) = D * (x, theta), compared against (l + h) * D
     denominator = rs.denominator
     wall = (level + rs.dual_coxeter) * denominator

@@ -2,11 +2,16 @@
 
 The connection form is -1/(l+2) sum_{i<j} c^(ij) dlog(z_i - z_j) with c^(ij)
 the Casimir acting in tensor slots i and j.  The matrices are computed exactly
-on the block: V_1 (x) ... (x) V_n modulo one integer span, the images of the
-diagonal action of g and of T^{l+1} = (sum_i z_i E^(i))^{l+1} at a fixed
-integer base point.  The block basis is the span's non-pivot columns and
-``IntSpan.reduce`` is the quotient map; the classical coinvariant dimension
-is read off before the T^{l+1} rows go in.
+on the block: V_1 (x) ... (x) V_n modulo the diagonal action of g and the
+image of T^{l+1} = (sum_i z_i E^(i))^{l+1} at a fixed integer base point.
+The block lives in weight zero, so it is built there: the H rows span every
+nonzero weight, and E maps the weight -2 space onto the weight-zero part of
+the image of g.  One integer span holds the E rows of the weight -2 vectors
+and the T^{l+1} rows of the weight -2(l+1) vectors; the block basis is its
+weight-zero non-pivot columns and ``IntSpan.reduce`` is the quotient map.
+The pivots and the reduced form depend on the span only, so this is the
+quotient of the whole tensor product.  The classical coinvariant dimension is
+read off before the T^{l+1} rows go in.
 Parallel transport is the single floating-point boundary of the package.
 It runs RK4 at the requested steps and, for the halving error estimate, at
 half of them, in lockstep: two full steps, then one halved step, which is
@@ -22,7 +27,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 from .errors import InputError
 from .liealg import casimir_eigenvalue, root_system, sl2_irrep_matrices
@@ -41,9 +46,6 @@ class _TensorOps:
         self.labels = labels
         self.dims = [m + 1 for m in labels]
         self.strides = strides(self.dims)
-        self.D = 1
-        for d in self.dims:
-            self.D *= d
         self.moves = []
         for m, st in zip(labels, self.strides):
             reps = sl2_irrep_matrices(m)
@@ -65,12 +67,6 @@ class _TensorOps:
             for off, v in moves[(idx // st) % dim]:
                 out[idx + off] = out.get(idx + off, 0) + c * v
         return out
-
-    def diagonal(self, vec: dict, gen: str) -> dict:
-        out: dict = {}
-        for s in range(len(self.labels)):
-            self.apply_slot(vec, s, gen, 1, out)
-        return {k: v for k, v in out.items() if v}
 
     def casimir_pair(self, vec: dict, i: int, j: int) -> dict:
         # 2 c^(ij) = 2 E_i F_j + 2 F_i E_j + H_i H_j, integral on integral vectors
@@ -131,22 +127,20 @@ def kz_system(level: int, labels) -> KZSystem:
             raise InputError(f"label {m} exceeds level {level}")
     n = len(labels)
     ops = _TensorOps(labels)
-    D = ops.D
-
-    # one integer span: the diagonal action of g, then the image of T^{l+1}
+    # v_j in V_m has weight m - 2j; E, and so T, raises a weight by 2
+    weights = [sum(labels) - 2 * sum(idx) for idx in product(*(range(d) for d in ops.dims))]
+    # one integer span: the E rows that land in weight zero, then the image of T^{l+1}
     span = IntSpan()
-    for b in range(D):
-        for gen in "EFH":
-            row = ops.diagonal({b: 1}, gen)
-            if row:
-                span.add(row)
-    classical_dim = D - span.rank
+    for b, w in enumerate(weights):
+        if w == -2:
+            span.add(ops.t_power({b: 1}, (1,) * n, 1))
+    zero = [b for b, w in enumerate(weights) if w == 0]
+    classical_dim = len(zero) - span.rank
     base_point = tuple(n - 1 - 2 * i for i in range(n))
-    for b in range(D):
-        w = ops.t_power({b: 1}, base_point, level + 1)
-        if w:
-            span.add(w)
-    basis = [b for b in range(D) if b not in span.pivots]
+    for b, w in enumerate(weights):
+        if w == -2 * (level + 1):
+            span.add(ops.t_power({b: 1}, base_point, level + 1))
+    basis = [b for b in zero if b not in span.pivots]
     basis_pos = {b: a for a, b in enumerate(basis)}
 
     def to_block(vec: dict) -> list:

@@ -6,8 +6,10 @@ defines the function."""
 import cmath
 from fractions import Fraction
 
+import pytest
+
 from wzw import checks, fock, kz, oracle, surface
-from wzw.fock import GluingTensorSeries
+from wzw.errors import InternalError
 from wzw.kz import TransportResult
 
 
@@ -85,19 +87,21 @@ def test_dehn_twists_counts_a_wrong_special_text(monkeypatch):
 
 
 def test_gluing_recursion_counts_its_rows(monkeypatch):
-    real = fock.gluing_tensor
+    # the count is pinned on correct code, so a gluing tensor that checks the
+    # recursion for |n| <= 1 only shows; a bad eps_0 fails inside gluing_tensor,
+    # which verifies eps_d H_d^T = I at every degree, as an internal error
+    assert checks.gluing_recursion() == (
+        "gluing-recursion", True, "134 recursion and pairing identities, all residuals 0")
+    real = fock.invert
 
-    def doubled_eps0(level, mu, d):
-        series = real(level, mu, d)
-        if mu == 1:
-            terms = [[[2 * v for v in row] for row in series.terms[0]]] + series.terms[1:]
-            series = GluingTensorSeries(series.quotient, terms, series.residuals)
-        return series
+    def doubled_eps0(a):
+        out = real(a)
+        # H_0 of b_1 pairs v_0 with v_1 and v_1 with v_0, with the sign (-1)^i
+        return [[2 * x for x in row] for row in out] if a == [[0, 1], [-1, 0]] else out
 
-    monkeypatch.setattr(fock, "gluing_tensor", doubled_eps0)
-    result = checks.gluing_recursion()
-    assert result.passed is False
-    assert result.detail == "1/134 nonzero, first mu=1,eps0-inverse-pairing"
+    monkeypatch.setattr(fock, "invert", doubled_eps0)
+    with pytest.raises(InternalError, match="^eps_0 does not invert the degree-0 quotient"):
+        checks.gluing_recursion()
 
 
 def test_rank_z_independence_names_its_first_varying_case(monkeypatch):

@@ -407,9 +407,8 @@ def test_gluing_tensor_checks_each_eps_inverts_its_pairing(monkeypatch):
 
 
 def test_gluing_eps0_inverts_pairing():
-    series = gluing_tensor(1, 0, 2)
-    gram0 = series.quotient.gram[0]
-    eps0 = series.terms[0]
+    gram0 = integrable_quotient(induced_module(1, 0, 2)).gram[0]
+    eps0 = gluing_tensor(1, 0, 2).terms[0]
     assert len(eps0) == 1
     assert Fraction(gram0[0][0]) * eps0[0][0] == 1
 

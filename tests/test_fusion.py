@@ -94,6 +94,29 @@ def test_kac_walton_rejects_a_negative_multiplicity(monkeypatch, fresh_memos):
         alphabet(build_root_system("A", 1), 2).row(1, 1)
 
 
+def test_kac_walton_rejects_a_product_outside_the_alphabet(fresh_memos):
+    # the level-2 A1 alphabet without its top label: (1,) x (1,) = (0,) + (2,)
+    rs = build_root_system("A", 1)
+    full = alphabet(rs, 2)
+    short = fusion.FusionAlphabet(rs, 2, full.labels[:2], (0, 1), full.weyl_dims[:2],
+                                  {(0,): 0, (1,): 1})
+    assert short.row(0, 1) == (0, 1)
+    message = "fusion axiom 'closure' violated: (1,) x (1,) contains (2,) outside the alphabet"
+    with pytest.raises(InternalError, match=f"^{re.escape(message)}$"):
+        short.row(1, 1)
+
+
+def test_each_weyl_dimension_is_read_once_per_label(monkeypatch, fresh_memos):
+    # the alphabet tabulates them; a product picks its smaller factor from the table
+    calls = []
+    real = fusion.weyl_dim
+    monkeypatch.setattr(fusion, "weyl_dim", lambda rs, mu: calls.append(mu) or real(rs, mu))
+    alph = alphabet.__wrapped__(build_root_system("A", 2), 4)  # a fresh instance
+    fusion_table(alph)
+    assert alph.weyl_dims == tuple(real(alph.rs, mu) for mu in alph.labels)
+    assert sorted(calls) == list(alph.labels)
+
+
 def test_alphabet_a2():
     rs = build_root_system("A", 2)
     assert len(alphabet(rs, 1).labels) == 3

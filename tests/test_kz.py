@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import operator
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from wzw.checks import KZ_LEVEL_MAX, KZ_NMAX
 from wzw.errors import InputError
 from wzw.kz import KZSystem, flatness_check, kz_system, parallel_transport, residue_check
 from wzw.liealg import sl2_irrep_matrices
+from wzw.linalg import IntSpan, strides
 from wzw.oracle import CoinvariantProblem, npoint_block_ranks
 
 F = Fraction
@@ -112,6 +114,109 @@ def test_block_and_classical_dimensions_match_the_oracle():
         system = kz_system(level, marks)
         want = npoint_block_ranks(CoinvariantProblem(level, marks, system.base_point))
         assert (system.dim, system.classical_dim) == want, (level, marks)
+
+
+# -- the full-tensor-product build, kept as a reference ---------------------
+# It eliminates the diagonal E, F, H rows and the T^{l+1} rows of every basis
+# vector, over every weight; kz_system keeps only the rows that land in weight
+# zero.  The pivots and IntSpan.reduce's normal form depend only on the span.
+
+def reference_kz_system(level, labels):
+    """(dim, classical_dim, truncated, base_point, a_matrices) on the whole tensor product."""
+    n = len(labels)
+    stride = strides([m + 1 for m in labels])
+    D = stride[0] * (labels[0] + 1)
+    # moves[slot][gen][j]: the (flat offset, coefficient) pairs of gen v_j
+    moves = [{gen: [[((i - j) * st, mat[i][j]) for i in range(m + 1) if mat[i][j]]
+                    for j in range(m + 1)]
+              for gen, mat in zip("EFH", sl2_irrep_matrices(m))}
+             for m, st in zip(labels, stride)]
+
+    def apply(vec, slot, gen, scale, out):
+        st, dim = stride[slot], labels[slot] + 1
+        for idx, c in vec.items():
+            for off, v in moves[slot][gen][idx // st % dim]:
+                out[idx + off] = out.get(idx + off, 0) + scale * c * v
+        return out
+
+    def diagonal(vec, gen, z):
+        out = {}
+        for slot in range(n):
+            apply(vec, slot, gen, z[slot], out)
+        return {k: v for k, v in out.items() if v}
+
+    span = IntSpan()
+    for b in range(D):
+        for gen in "EFH":
+            span.add(diagonal({b: 1}, gen, (1,) * n))
+    classical_dim = D - span.rank
+    base_point = tuple(n - 1 - 2 * i for i in range(n))
+    for b in range(D):
+        vec = {b: 1}
+        for _ in range(level + 1):
+            vec = diagonal(vec, "E", base_point)
+        span.add(vec)
+    basis = [b for b in range(D) if b not in span.pivots]
+    pos = {b: a for a, b in enumerate(basis)}
+    a_matrices = {}
+    for i, j in itertools.combinations(range(n), 2):
+        cols = []
+        for b in basis:
+            out = {}
+            for gi, gj, coef in (("E", "F", 2), ("F", "E", 2), ("H", "H", 1)):
+                apply(apply({b: 1}, j, gj, 1, {}), i, gi, coef, out)
+            col = [F(0)] * len(basis)
+            for c, v in span.reduce(out).items():
+                col[pos[c]] = v
+            cols.append([F(-v, 2 * (level + 2)) for v in col])
+        a_matrices[(i, j)] = [list(row) for row in zip(*cols)]
+    return len(basis), classical_dim, len(basis) < classical_dim, base_point, a_matrices
+
+
+def as_tuple(system):
+    return (system.dim, system.classical_dim, system.truncated, system.base_point,
+            system.a_matrices)
+
+
+# every kz-flatness system, the four systems the benchmark runs, and a block of
+# dimension 24 whose weight-zero space is 580 of the 4096 basis vectors
+REFERENCE_CASES = [(level, marks) for level in range(KZ_LEVEL_MAX + 1)
+                   for n in range(2, KZ_NMAX + 1)
+                   for marks in itertools.product(range(level + 1), repeat=n)]
+REFERENCE_CASES += [(5, (3, 3, 3, 3)), (5, (2, 2, 2, 2, 2)), (2, (1, 1, 2)),
+                    (4, (2, 2, 2, 2)), (6, (3, 3, 3, 3, 3, 3))]
+
+
+def test_kz_system_matches_the_full_tensor_product_reference():
+    for level, marks in REFERENCE_CASES:
+        assert as_tuple(kz_system(level, marks)) == reference_kz_system(level, marks), \
+            (level, marks)
+
+
+def test_kz_system_adds_only_rows_that_land_in_weight_zero(monkeypatch):
+    # V_3 (x4): the E rows of the 40 weight -2 vectors and T^6 of the one
+    # weight -12 vector; the whole-tensor-product build passed up to 4 * 256
+    rows = []
+    add = IntSpan.add
+    monkeypatch.setattr(IntSpan, "add", lambda self, row: rows.append(row) or add(self, row))
+    labels = (3, 3, 3, 3)
+    kz_system(5, labels)
+    weights = Counter(12 - 2 * sum(idx) for idx in itertools.product(range(4), repeat=4))
+    assert len(rows) == weights[-2] + weights[-12] == 40 + 1
+    stride = strides([4] * 4)
+    assert {sum(3 - 2 * (c // st % 4) for st in stride) for row in rows for c in row} == {0}
+
+
+def test_dropping_the_e_rows_breaks_the_block(monkeypatch):
+    # the E rows are sum_i E^(i), one step of T at z = (1, ..., 1); without them
+    # the weight-zero space is not divided by the image of g
+    t_power = kz._TensorOps.t_power
+    monkeypatch.setattr(kz._TensorOps, "t_power",
+                        lambda self, vec, z, power: {} if set(z) == {1}
+                        else t_power(self, vec, z, power))
+    broken = kz_system(2, (1, 1, 1, 1))
+    assert (broken.dim, broken.classical_dim) == (6, 6)
+    assert as_tuple(broken) != reference_kz_system(2, (1, 1, 1, 1))
 
 
 def test_flatness_samples():
