@@ -13,6 +13,7 @@ layers it calls, so `--help` and every command load no layer they do not run.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import re
 import sys
@@ -95,22 +96,24 @@ def _render(payload: dict, tsv_rows: list, fmt: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (payload, tsv rows, exit code)
+# subcommand handlers: each returns (payload, tsv rows, exit code); _render
+# reads only the one --format asks for
 
 def _cmd_fusion_table(args):
     from .fusion import alphabet, fusion_table
     from .liealg import root_system
     rs = root_system(args.algebra)
     alph = alphabet(rs, args.level)
-    ring = fusion_table(alph)
-    coeffs = [{"labels": list(triple), "n": n}
-              for triple, n in ring.nonzero_ordered()]
-    payload = {"algebra": args.algebra, "level": args.level,
-               "labels": [list(mu) for mu in alph.labels], "coeffs": coeffs}
+    coeffs = fusion_table(alph).nonzero_ordered()
+    # the largest output of any command: build only the form that is printed
+    if args.format == "json":
+        payload = {"algebra": args.algebra, "level": args.level,
+                   "labels": [list(mu) for mu in alph.labels],
+                   "coeffs": [{"labels": list(triple), "n": n} for triple, n in coeffs]}
+        return payload, None, 0
     rows = [("labels",) + tuple(":".join(map(str, mu)) for mu in alph.labels)]
-    rows += [(c["labels"][0], c["labels"][1], c["labels"][2], c["n"])
-             for c in coeffs]
-    return payload, rows, 0
+    rows += [(*triple, n) for triple, n in coeffs]
+    return None, rows, 0
 
 
 def _cmd_dim(args):
@@ -388,5 +391,19 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> None:
+    """The process entry (`python -m wzw.cli`, the `wzw` script): main(), then exit.
+
+    The heap is frozen just before the interpreter tears down, on every path
+    out of main() including argparse's SystemExit, so that the collections
+    run at exit do not walk every object start-up made. main() itself leaves
+    the collector alone, since tests and tracers call it in process.
+    """
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

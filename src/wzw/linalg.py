@@ -21,7 +21,7 @@ tensor product V_1 (x) ... (x) V_n into one basis index.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Mat = list[list[int | Fraction]]
 
@@ -154,20 +154,31 @@ class IntSpan:
     def reduce(self, row: dict[int, Fraction]) -> dict[int, Fraction]:
         """Residual of a rational row modulo the span (no pivot columns left).
 
-        Pivot rows are echelon, so eliminating in ascending column order
-        terminates: each elimination only touches columns to the right.
+        Fraction-free: the residual is an integer row over one denominator,
+        and each elimination is the cross-multiplication step of `add`, which
+        scales the denominator by the same a/g as the row.  Pivot rows are
+        echelon, so eliminating in ascending column order terminates: each
+        elimination only touches columns to the right.
         """
-        out = {c: Fraction(v) for c, v in row.items() if v}
+        den = 1
+        for v in row.values():
+            den = lcm(den, v.denominator)
+        out = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
         while True:
             hit = [c for c in out if c in self.pivots]
             if not hit:
-                return out
+                return {c: Fraction(v, den) for c, v in out.items()}
             c = min(hit)
             piv = self.pivots[c]
-            f = out[c] / piv[c]
+            a, b = piv[c], out[c]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                out = {col: a * v for col, v in out.items()}
+                den *= a
             for col, v in piv.items():
-                nv = out.get(col, 0) - f * v
+                nv = out.get(col, 0) - b * v
                 if nv:
                     out[col] = nv
                 else:
-                    out.pop(col, None)
+                    del out[col]

@@ -1,5 +1,6 @@
 """Front-end contract: pinned outputs, formats, determinism, exit codes."""
 
+import gc
 import hashlib
 import json
 import subprocess
@@ -11,10 +12,13 @@ from wzw import checks, cli
 from wzw.errors import InternalError
 
 
+# main() called from `python -c`; the process entry is `python -m wzw.cli`
+MAIN_ENTRY = ("-c", "import sys; from wzw.cli import main; sys.exit(main(sys.argv[1:]))")
+MODULE_ENTRY = ("-m", "wzw.cli")
+
+
 def run_cli(*args, timeout=None):
-    code = ("import sys; from wzw.cli import main; "
-            "sys.exit(main(sys.argv[1:]))")
-    return subprocess.run([sys.executable, "-c", code, *args],
+    return subprocess.run([sys.executable, *MAIN_ENTRY, *args],
                           capture_output=True, text=True, timeout=timeout)
 
 
@@ -307,17 +311,53 @@ def test_oracle_rejects_repeated_points_as_written():
     assert out.stderr == "error: points must be pairwise distinct, got 1/3,1/3\n"
 
 
-def test_closed_stdout_exits_one_without_traceback():
-    code = ("import sys; from wzw.cli import main; "
-            "sys.exit(main(sys.argv[1:]))")
-    proc = subprocess.Popen([sys.executable, "-c", code, "kz", "matrices", "--level", "1",
-                             "--labels", "1,1,1,1"],
+def run_with_closed_stdout(entry, *args):
+    """Exit code and stderr of a run whose reader is gone before the first write."""
+    proc = subprocess.Popen([sys.executable, *entry, *args],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    proc.stdout.close()  # the reader is gone before the first write
+    proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
-    assert proc.wait() == 1
+    return proc.wait(), err
+
+
+def test_closed_stdout_exits_one_without_traceback():
+    args = ("kz", "matrices", "--level", "1", "--labels", "1,1,1,1")
+    code, err = run_with_closed_stdout(MAIN_ENTRY, *args)
+    assert code == 1
     assert "Traceback" not in err and "BrokenPipeError" not in err
+    assert run_with_closed_stdout(MODULE_ENTRY, *args) == (code, err)
+
+
+@pytest.mark.parametrize("args,code", [
+    (("--help",), 0),
+    ((), 1),
+    (("dim", "--algebra", "A1", "--level", "1", "--genus", "-1"), 1),
+    (("verify", "dehn-twists"), 1),
+    (("dehn", "--algebra", "A1", "--level", "2", "--label", "2"), 0),
+], ids=["help", "no-subcommand", "negative-genus", "failed-verify", "success"])
+def test_module_entry_matches_main(args, code):
+    entry = subprocess.run([sys.executable, *MODULE_ENTRY, *args],
+                           capture_output=True, text=True)
+    ref = run_cli(*args)
+    assert entry.returncode == ref.returncode == code
+    assert (entry.stdout, entry.stderr) == (ref.stdout, ref.stderr)
+
+
+def test_only_the_process_entry_freezes_the_heap():
+    # main() runs in process under tests and tracers, whose heap must stay
+    # collectable; run() freezes the heap on its way out, SystemExit included
+    frozen = gc.get_freeze_count()
+    assert cli.main(["dehn", "--algebra", "A1", "--level", "2", "--label", "2"]) == 0
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    assert gc.get_freeze_count() == frozen
+    probe = ("import atexit, gc, sys; from wzw.cli import run; atexit.register("
+             "lambda: print(gc.get_freeze_count() > 0, file=sys.stderr)); run()")
+    for args in (("--help",), ("dehn", "--algebra", "A1", "--level", "2", "--label", "2")):
+        out = subprocess.run([sys.executable, "-c", probe, *args],
+                             capture_output=True, text=True)
+        assert (out.returncode, out.stderr) == (0, "True\n")
 
 
 @pytest.mark.parametrize("fmt", ["json", "tsv"])
