@@ -6,7 +6,11 @@ the truncation agrees with the true operator (degrees below 0 are empty).
 `InducedModule.action` fills each current column by column from the
 straightening; a Sugawara block holds 4C(D_k), summed from current products.
 Compositions and sums take the smaller top edge, so identity checks on a
-window are honest statements about the untruncated algebra.
+window are honest statements about the untruncated algebra.  A bracket
+residual is one sum: `commutator` composes a b on the residual's window
+only and adds -b a and the identity's linear terms into its fresh blocks,
+over one common factor; `_mm` is the one sparse product, indexing the
+smaller factor of each.
 
 One construction serves every current algebra g with an invariant form: the
 module induced from a g-irrep at level l, and the Sugawara operators on it.
@@ -40,7 +44,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from types import MappingProxyType
 
 from .errors import InputError, InternalError
@@ -253,18 +257,40 @@ def fock_space(degree_bound: int) -> InducedModule:
 # ---------------------------------------------------------------------------
 # graded operators
 
-def _mm(products) -> dict:
-    """The nonzero entries of the sum of w * a b over the sparse blocks (w, a, b) in products."""
-    out: dict = {}
-    for w, a, b in products:
-        by_k: dict = {}
+def _mm(out: dict, w: int, a: dict, b: dict) -> dict:
+    """Add the entries of w * a b into out and return it; zeros are left for the caller.
+
+    The smaller factor is indexed, b by row or a by column, and the other streamed.
+    """
+    if not a or not b:
+        return out
+    if len(b) <= len(a):
+        rows: dict = {}
         for (k, j), v in b.items():
-            by_k.setdefault(k, []).append((j, w * v))
+            rows.setdefault(k, []).append((j, w * v))
         for (i, k), u in a.items():
-            for j, v in by_k.get(k, ()):
+            for j, v in rows.get(k, ()):
                 key = (i, j)
                 out[key] = out.get(key, 0) + u * v
-    return {k: v for k, v in out.items() if v}
+    else:
+        cols: dict = {}
+        for (i, k), u in a.items():
+            cols.setdefault(k, []).append((i, w * u))
+        for (k, j), v in b.items():
+            for i, u in cols.get(k, ()):
+                key = (i, j)
+                out[key] = out.get(key, 0) + u * v
+    return out
+
+
+def _nonzero(blk: dict) -> dict:
+    return {k: v for k, v in blk.items() if v}
+
+
+def _common_factor(*factors: Fraction) -> Fraction:
+    """gcd(numerators)/lcm(denominators), which divides each factor to an integer."""
+    return Fraction(gcd(*(f.numerator for f in factors)),
+                    lcm(*(f.denominator for f in factors)))
 
 
 class GradedOperator:
@@ -304,8 +330,8 @@ class GradedOperator:
         hi = min(other.hi, self.hi + other.shift)
         blocks = {}
         for n in range(hi + 1):
-            blocks[n] = _mm([(1, self.blocks.get(n - other.shift, {}),
-                              other.blocks.get(n, {}))])
+            blocks[n] = _nonzero(_mm({}, 1, self.blocks.get(n - other.shift, {}),
+                                     other.blocks.get(n, {})))
         return GradedOperator(self.space, self.shift + other.shift, hi, blocks,
                               self.factor * other.factor)
 
@@ -314,26 +340,15 @@ class GradedOperator:
         if self.space != other.space or self.shift != other.shift:
             raise InternalError("adding incompatible graded operators")
         hi = min(self.hi, other.hi)
-        f, g = self.factor, other.factor
-        common = Fraction(gcd(f.numerator, g.numerator),
-                          f.denominator // gcd(f.denominator, g.denominator) * g.denominator)
-        a, b = int(f / common), int(g / common)
+        common = _common_factor(self.factor, other.factor)
+        a, b = int(self.factor / common), int(other.factor / common)
         blocks = {}
         for n in range(hi + 1):
             blk = {k: a * v for k, v in self.blocks.get(n, {}).items()}
             for k, v in other.blocks.get(n, {}).items():
                 blk[k] = blk.get(k, 0) + b * v
-            blocks[n] = {k: v for k, v in blk.items() if v}
+            blocks[n] = _nonzero(blk)
         return GradedOperator(self.space, self.shift, hi, blocks, common)
-
-    def sub(self, other: "GradedOperator") -> "GradedOperator":
-        return self.add(other.scale(-1))
-
-    def scale(self, c) -> "GradedOperator":
-        if not c:
-            return GradedOperator(self.space, self.shift, self.hi,
-                                  {n: {} for n in self.blocks})
-        return GradedOperator(self.space, self.shift, self.hi, self.blocks, self.factor * c)
 
     def max_abs(self) -> Fraction:
         top = max((abs(v) for blk in self.blocks.values() for v in blk.values()), default=0)
@@ -344,8 +359,38 @@ class GradedOperator:
         return {key: self.factor * v for key, v in self.block(n).items()}
 
 
-def commutator(a: GradedOperator, b: GradedOperator) -> GradedOperator:
-    return a.compose(b).sub(b.compose(a))
+def commutator(a: GradedOperator, b: GradedOperator, *terms) -> GradedOperator:
+    """[a, b] minus the sum of c * op over the (c, op) in terms, in one pass.
+
+    The window is the least of those of a b, b a and every term, one of
+    coefficient 0 included, and a b is composed on that window only.  Its
+    fresh blocks take -b a and the terms in place, over one common factor
+    with the sign of a b's, so they are rescaled only where a term's factor
+    is not an integer multiple of a b's.
+    """
+    hi = min(b.hi, a.hi + b.shift, a.hi, b.hi + a.shift, *(op.hi for _, op in terms))
+    # b's blocks seen through the window [0, hi]
+    ab = a.compose(GradedOperator(b.space, b.shift, hi, b.blocks, b.factor))
+    if any(op.space != ab.space or op.shift != ab.shift for _, op in terms):
+        raise InternalError("adding incompatible graded operators")
+    terms = [(c * op.factor, op.blocks) for c, op in terms if c]
+    common = _common_factor(ab.factor, *(f for f, _ in terms))
+    if ab.factor < 0:
+        common = -common
+    w = int(ab.factor / common)
+    weights = [(-int(f / common), op_blocks) for f, op_blocks in terms]
+    blocks = {}
+    for n in range(hi + 1):
+        blk = ab.blocks[n]
+        if w != 1:
+            for key in blk:
+                blk[key] *= w
+        _mm(blk, -w, b.blocks.get(n - a.shift, {}), a.blocks.get(n, {}))
+        for c, op_blocks in weights:
+            for key, v in op_blocks.get(n, {}).items():
+                blk[key] = blk.get(key, 0) + c * v
+        blocks[n] = _nonzero(blk)
+    return GradedOperator(a.space, ab.shift, hi, blocks, common)
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +410,12 @@ def sugawara_op(k: int, module: InducedModule) -> GradedOperator:
               module.action(k - j, ga).blocks, module.action(j, gb).blocks)
              for j in range(-(-k // 2), d + 1) if abs(k - j) <= d
              for ga, gb, c in module.algebra.dual_pairs]
-    blocks = {n: _mm([(w, a.get(n - j, {}), b.get(n, {})) for w, j, a, b in terms])
-              for n in range(hi + 1)}
+    blocks = {}
+    for n in range(hi + 1):
+        blk: dict = {}
+        for w, j, a, b in terms:
+            _mm(blk, w, a.get(n - j, {}), b.get(n, {}))
+        blocks[n] = _nonzero(blk)
     return GradedOperator(module, k, hi, blocks,
                           Fraction(-1, 4 * (module.level + module.algebra.dual_coxeter)))
 
@@ -381,8 +430,7 @@ def check_sugawara_bracket(k: int, l: int, module: InducedModule) -> GradedOpera
     big = max(abs(k), abs(l))
     if d < 2 * big + 2:
         raise InputError(f"degree bound {d} < {2 * big + 2} leaves no usable window")
-    res = commutator(sugawara_op(k, module), sugawara_op(l, module))
-    res = res.sub(sugawara_op(k + l, module).scale(l - k))
+    terms = [(l - k, sugawara_op(k + l, module))]
     if k + l == 0:
         algebra = module.algebra
         charge = Fraction(module.level * len(algebra.gen_names),
@@ -390,8 +438,8 @@ def check_sugawara_bracket(k: int, l: int, module: InducedModule) -> GradedOpera
         central = Fraction(k ** 3 - k, 12) * charge
         if central:
             unit = {n: {(i, i): 1 for i in range(module.dim(n))} for n in range(d + 1)}
-            res = res.sub(GradedOperator(module, 0, d, unit).scale(central))
-    return res
+            terms.append((central, GradedOperator(module, 0, d, unit)))
+    return commutator(sugawara_op(k, module), sugawara_op(l, module), *terms)
 
 
 def check_current_bracket(k: int, m: int, g: int, module: InducedModule) -> GradedOperator:
@@ -402,10 +450,8 @@ def check_current_bracket(k: int, m: int, g: int, module: InducedModule) -> Grad
     d = module.degree_bound
     if d - max(0, -k) - max(0, -m) < 0:
         raise InputError(f"degree bound {d} leaves no usable window for k={k}, m={m}")
-    res = commutator(sugawara_op(k, module), module.action(m, g))
-    if m:
-        res = res.sub(module.action(m + k, g).scale(m))
-    return res
+    terms = [(m, module.action(m + k, g))] if m else []
+    return commutator(sugawara_op(k, module), module.action(m, g), *terms)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,16 @@ It runs RK4 at the requested steps and, for the halving error estimate, at
 half of them, in lockstep: two full steps, then one halved step, which is
 twice the full one bit for bit, so both runs share each evaluation of the
 connection form (3617 on a 1600-step segment; two separate runs took 7200).
-The form, per (dim^2, number of moving pairs), and the step, per block
-dimension, are generated with only integers in their source; the step writes
-out one column's matrix-vector products (1.3 KB at dim 3, 76 KB at dim 30).
+A segment reads only the zero pattern of its moving pairs, the union of the
+nonzero entries of their A_ij (7 of 9 entries on the benchmark's l=4 loop).
+The form, per (pattern, each pair's nonzero entries), sums each pair over its
+nonzero entries only; the step, per (block dimension, pattern), writes out
+one column's matrix-vector products over the pattern only, O(dim^2) source.
+Only integers reach either source.  Skipping the other terms is exact: each
+is c*0j or 0j*y with c and y finite, which is (+-0, +-0), and a sum started
+at 0 or 0j never holds -0.0 under round-to-nearest, so adding one changes no
+bit.  The two can differ only where the full sums give a non-finite
+holonomy, and `TransportResult` refuses every non-finite holonomy.
 """
 
 from __future__ import annotations
@@ -207,15 +214,19 @@ class TransportResult:
 
     def __init__(self, matrix: list, steps: int, path: str, error_estimate: float,
                  converged: bool):
-        # a holonomy is invertible, so |det| inside the error estimate means the
-        # steps do not resolve the path, not a broken invariant
+        # a holonomy is finite and invertible, so a non-finite entry or |det|
+        # inside the error estimate means the steps do not resolve the path,
+        # not a broken invariant
+        advice = "use more --steps or a path farther from the diagonals z_i = z_j"
+        if not (cmath.isfinite(error_estimate)
+                and all(cmath.isfinite(v) for row in matrix for v in row)):
+            raise InputError(f"transport matrix is not resolved by the steps: an entry "
+                             f"or the error estimate is not finite; {advice}")
         self.determinant = _det(matrix)
         d = abs(self.determinant)
         if matrix and d <= error_estimate:
             raise InputError(f"transport matrix is not resolved by the steps: "
-                             f"|det| = {d:.3e} <= error {error_estimate:.3e}; "
-                             f"use more --steps or a path farther from the "
-                             f"diagonals z_i = z_j")
+                             f"|det| = {d:.3e} <= error {error_estimate:.3e}; {advice}")
         self.matrix = matrix
         self.steps = steps
         self.path = path
@@ -270,47 +281,55 @@ def _segment_guard(p, q):
 
 
 @lru_cache(maxsize=None)
-def _connection_form(size: int, npairs: int):
-    """The form sum_ij c_ij A_ij, flat and row-major, generated from its size and pair count.
+def _connection_form(pattern: tuple, supports: tuple):
+    """The form sum_ij c_ij A_ij on its zero pattern, generated from the flat entry indices.
 
-    form(z, pairs) reads the (i, j, dz_i - dz_j, flat A_ij) of the moving pairs
-    in `a_matrices` order; each entry is summed from 0j in that order, skipping
-    a pair whose c_ij = (dz_i - dz_j)/(z_i - z_j) is 0.
+    form(z, pairs) reads the (i, j, dz_i - dz_j, values) of the moving pairs in
+    `a_matrices` order, values being A_ij's nonzero entries at the flat indices
+    supports[p], and returns the form's entries at the indices in `pattern`,
+    the union of the supports.  Each entry is summed from 0j in pair order,
+    over the pairs nonzero there, skipping a pair whose
+    c_ij = (dz_i - dz_j)/(z_i - z_j) is 0.
     """
-    entries = ", ".join(f"e{e}" for e in range(size))
-    src = ["def form(z, pairs):", f"    [{entries}] = [0j] * {size}",
-           f"    [{', '.join(f'(i{p}, j{p}, d{p}, m{p})' for p in range(npairs))}] = pairs"]
-    for p in range(npairs):
+    entries = "".join(f"e{e}, " for e in pattern)
+    src = ["def form(z, pairs):", f"    [{entries}] = [0j] * {len(pattern)}",
+           f"    [{', '.join(f'(i{p}, j{p}, d{p}, m{p})' for p in range(len(supports)))}] = pairs"]
+    for p, support in enumerate(supports):
         src += [f"    c = d{p} / (z[i{p}] - z[j{p}])", "    if c:",
-                f"        [{', '.join(f'v{e}' for e in range(size))}] = m{p}"]
-        src += [f"        e{e} += c * v{e}" for e in range(size)]
-    src.append(f"    return {entries},")
+                f"        [{''.join(f'v{e}, ' for e in support)}] = m{p}"]
+        src += [f"        e{e} += c * v{e}" for e in support]
+    src.append(f"    return ({entries})")
     scope: dict = {}
-    exec(compile("\n".join(src), f"<kz form, size {size}, {npairs} pairs>", "exec"), scope)
+    exec(compile("\n".join(src), f"<kz form, {len(pattern)} entries, {len(supports)} pairs>",
+                 "exec"), scope)
     return scope["form"]
 
 
 @lru_cache(maxsize=None)
-def _rk4_step(dim: int):
-    """The RK4 step of dY/dt = Omega(t) Y for dim x dim holonomies, generated from dim.
+def _rk4_step(dim: int, pattern: tuple):
+    """The RK4 step of dY/dt = Omega(t) Y for dim x dim holonomies, Omega zero off pattern.
 
-    step(cols, oa, ob, oc, h) takes Y as dim column tuples and the flat forms
-    at t0, t0 + h/2 and t0 + h, and returns the stepped columns.  The equation
-    is linear, so the source writes out one column's matrix-vector products,
-    O(dim^2) characters, each entry the float expression
-    0 + o[r,0]*y0 + ... + o[r,dim-1]*y(dim-1), summed in that order.
+    step(cols, oa, ob, oc, h) takes Y as dim column tuples and the forms at
+    t0, t0 + h/2 and t0 + h, each given at the flat indices r * dim + c in
+    `pattern`, and returns the stepped columns.  The equation is linear, so
+    the source writes out one column's matrix-vector products, O(dim^2)
+    characters, each entry the float expression 0 + o[r,c]*y(c) + ... over
+    the c with (r, c) in the pattern, in increasing c; a row with none is 0j.
     """
     idx = range(dim)
+    row_cols = [[e % dim for e in pattern if e // dim == r] for r in idx]
 
     def names(fmt):
         return ", ".join(fmt.format(r) for r in idx) + ","
 
     def products(k, o, y):
-        return [f"        {k}{r} = 0 + " + " + ".join(f"{o}{r}_{c} * {y}{c}" for c in idx)
-                for r in idx]
+        return [f"        {k}{r} = " + (" + ".join(["0"] + [f"{o}{r}_{c} * {y}{c}" for c in cols])
+                                        if cols else "0j")
+                for r, cols in enumerate(row_cols)]
 
     src = ["def step(cols, oa, ob, oc, h):"]
-    src += [f"    {', '.join(f'{o}{r}_{c}' for r in idx for c in idx)}, = o{o}" for o in "abc"]
+    src += [f"    [{''.join(f'{o}{e // dim}_{e % dim}, ' for e in pattern)}] = o{o}"
+            for o in "abc"]
     src += ["    h2, h6 = h / 2, h / 6", "    out = []", f"    for {names('y{}')} in cols:"]
     # k2 and k3 both read the midpoint form ob
     src += products("ka", "a", "y") + [f"        u{r} = y{r} + h2 * ka{r}" for r in idx]
@@ -320,7 +339,8 @@ def _rk4_step(dim: int):
     src += [f"        out.append(({names('y{0} + h6 * (ka{0} + 2 * kb{0} + 2 * kc{0} + kd{0})')}))",
             "    return out"]
     scope: dict = {}
-    exec(compile("\n".join(src), f"<kz rk4 step, dim {dim}>", "exec"), scope)
+    exec(compile("\n".join(src), f"<kz rk4 step, dim {dim}, {len(pattern)} entries>", "exec"),
+         scope)
     return scope["step"]
 
 
@@ -331,14 +351,18 @@ def _transport_fixed(system: KZSystem, waypoints, per_seg: int) -> tuple:
     halved step H = 1/(per_seg // 2) is 2h bit for bit, so both runs read the
     form at the same floats t.  The segment's `_connection_form` evaluates
     each once, keyed by t, dropped once t falls behind the halved run.  The
-    holonomies are stepped as columns by `_rk4_step(dim)`, returned as rows.
+    holonomies are stepped as columns by `_rk4_step(dim, pattern)`, returned
+    as rows; the pattern is the union of the moving pairs' nonzero entries.
     """
     dim = system.dim
     if not dim:
         return [], []
-    mats = {key: [complex(v) for row in m for v in row]
-            for key, m in system.a_matrices.items()}
-    step = _rk4_step(dim)
+    # each A_ij as its flat nonzero indices and their values
+    mats = {}
+    for key, m in system.a_matrices.items():
+        flat = [complex(v) for row in m for v in row]
+        support = tuple(e for e, v in enumerate(flat) if v)
+        mats[key] = support, tuple(flat[e] for e in support)
 
     def form(t):
         if t not in forms:
@@ -352,8 +376,12 @@ def _transport_fixed(system: KZSystem, waypoints, per_seg: int) -> tuple:
         dz = [b - a for a, b in zip(p, q)]
         if all(abs(d) == 0 for d in dz):
             continue
-        pairs = [(i, j, dz[i] - dz[j], m) for (i, j), m in mats.items() if dz[i] - dz[j]]
-        omega = _connection_form(dim * dim, len(pairs))
+        pairs = [(i, j, dz[i] - dz[j], values) for (i, j), (support, values) in mats.items()
+                 if support and dz[i] - dz[j]]
+        supports = tuple(mats[i, j][0] for i, j, _, _ in pairs)
+        pattern = tuple(sorted(set().union(*supports)))
+        omega = _connection_form(pattern, supports)
+        step = _rk4_step(dim, pattern)
         forms = {}
         h, big_h = 1.0 / per_seg, 1.0 / (per_seg // 2)
         for k in range(per_seg // 2):

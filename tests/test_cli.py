@@ -176,6 +176,21 @@ def test_kz_transport_under_resolved_path_is_an_input_error(tmp_path):
     assert "not resolved by the steps" in out.stderr and "singular" not in out.stderr
 
 
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_kz_transport_with_a_non_finite_holonomy_is_an_input_error(tmp_path, fmt):
+    # z_0 jumps between +-1e6 on 39 segments of about 4 steps each: the steps
+    # overflow, and the holonomy and its error estimate end up NaN
+    points = [[[(-1) ** k * 1e6, 1e-5], [0, 0], [-5, 0], [-9, 0]] for k in range(40)]
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"points": points}))
+    out = run_cli("kz", "transport", "--level", "4", "--labels", "2,2,2,2",
+                  "--path", str(path), "--steps", "100", "--format", fmt)
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr.startswith("error:") and out.stderr.count("\n") == 1
+    assert "not resolved by the steps" in out.stderr and "not finite" in out.stderr
+
+
 @pytest.mark.parametrize("tolerance", ["inf", "nan", "0", "-1"])
 def test_kz_transport_rejects_a_bad_tolerance(tmp_path, tolerance):
     # inf would call any error converged, and nan, 0 or -1 none at any --steps

@@ -19,6 +19,15 @@ QUOTIENT_DIMS = {
 FULL_DIMS_MU1 = [2, 6, 18, 44, 102, 216, 442]
 
 
+def scaled(op, c):
+    """c times op, sharing op's blocks."""
+    return GradedOperator(op.space, op.shift, op.hi, op.blocks, op.factor * c)
+
+
+def difference(a, b):
+    return a.add(scaled(b, -1))
+
+
 def dense_block(op, n):
     """Degree n's block of a GradedOperator as a dense list of rational rows."""
     rows, cols = op.space.dim(n - op.shift), op.space.dim(n)
@@ -100,9 +109,10 @@ def test_action_is_built_once_and_left_unchanged_by_arithmetic():
     snapshot = [(a.factor, {n: dict(blk) for n, blk in a.blocks.items()})
                 for a in (op, other)]
     commutator(op, other)
-    op.add(module.action(-1, 2)).sub(op.scale(Fraction(2, 3)))
-    op.scale(0).add(op)
-    other.compose(op).scale(-1).compose(sugawara_op(1, module))
+    commutator(op, other, (2, module.action(0, 1)), (Fraction(1, 3), sugawara_op(0, module)))
+    difference(op.add(module.action(-1, 2)), scaled(op, Fraction(2, 3)))
+    scaled(op, 0).add(op)
+    scaled(other.compose(op), -1).compose(sugawara_op(1, module))
     assert [(a.factor, a.blocks) for a in (op, other)] == snapshot
     assert module.action(-1, 0).blocks[2] and module.action(-1, 0) is op
 
@@ -241,7 +251,7 @@ def test_scaled_composition_scales_max_abs():
     base = a.compose(b).max_abs()
     assert base != 0
     for c, d in [(Fraction(1, 2), 3), (-2, Fraction(-5, 7)), (Fraction(3, 4), Fraction(4, 3))]:
-        assert a.scale(c).compose(b.scale(d)).max_abs() == abs(c * d) * base
+        assert scaled(a, c).compose(scaled(b, d)).max_abs() == abs(c * d) * base
 
 
 def reference_sugawara(k, module):
@@ -253,7 +263,7 @@ def reference_sugawara(k, module):
     def factor_pair(i, j):
         term = None
         for ga, gb, c in algebra.dual_pairs:
-            piece = module.action(i, ga).compose(module.action(j, gb)).scale(c)
+            piece = scaled(module.action(i, ga).compose(module.action(j, gb)), c)
             term = piece if term is None else term.add(piece)
         return term
 
@@ -262,8 +272,8 @@ def reference_sugawara(k, module):
         if abs(k - j) <= d:
             total = total.add(factor_pair(k - j, j))
     if k % 2 == 0 and abs(k // 2) <= d:
-        total = total.add(factor_pair(k // 2, k // 2).scale(Fraction(1, 2)))
-    return total.scale(Fraction(-1, module.level + algebra.dual_coxeter))
+        total = total.add(scaled(factor_pair(k // 2, k // 2), Fraction(1, 2)))
+    return scaled(total, Fraction(-1, module.level + algebra.dual_coxeter))
 
 
 def column_fill(module, shift, column):
@@ -297,8 +307,8 @@ def reference_sugawara_columns(k, module):
                 for melt2, c2 in module.apply_gen(i, ga, melt).items():
                     yield melt2, w * c1 * c2
 
-    return column_fill(module, k, column).scale(
-        Fraction(-1, 4 * (module.level + module.algebra.dual_coxeter)))
+    return scaled(column_fill(module, k, column),
+                  Fraction(-1, 4 * (module.level + module.algebra.dual_coxeter)))
 
 
 SL2_LABELS = [(level, mu) for level in range(3) for mu in range(level + 1)]
@@ -335,6 +345,78 @@ def test_sugawara_matches_the_column_by_column_construction(module):
     # the straightening recursion alone, independent of the cached current actions
     for k in range(-3, 4):
         assert_same_operator(sugawara_op(k, module), reference_sugawara_columns(k, module), k)
+
+
+# -- the bracket residuals as two compositions and their differences, kept as a
+# reference: the package sums each residual in one pass from a.compose(b)
+
+def reference_commutator(a, b):
+    return difference(a.compose(b), b.compose(a))
+
+
+def reference_current_bracket(k, m, g, module):
+    res = reference_commutator(sugawara_op(k, module), module.action(m, g))
+    if m:
+        res = difference(res, scaled(module.action(m + k, g), m))
+    return res
+
+
+def reference_sugawara_bracket(k, l, module):
+    d = module.degree_bound
+    res = reference_commutator(sugawara_op(k, module), sugawara_op(l, module))
+    res = difference(res, scaled(sugawara_op(k + l, module), l - k))
+    if k + l == 0:
+        algebra = module.algebra
+        charge = Fraction(module.level * len(algebra.gen_names),
+                          module.level + algebra.dual_coxeter)
+        central = Fraction(k ** 3 - k, 12) * charge
+        if central:
+            unit = {n: {(i, i): 1 for i in range(module.dim(n))} for n in range(d + 1)}
+            res = difference(res, scaled(GradedOperator(module, 0, d, unit), central))
+    return res
+
+
+def assert_same_residual(got, want):
+    assert got.window == want.window
+    for n in range(want.hi + 1):
+        assert got.entries(n) == want.entries(n), n
+    assert got.max_abs() == want.max_abs()
+
+
+@pytest.mark.parametrize("level,mu", SL2_LABELS + [("fock", 0)],
+                         ids=[f"sl2-l{level}-mu{mu}" for level, mu in SL2_LABELS] + ["fock"])
+def test_bracket_residuals_match_the_two_composition_reference(level, mu):
+    # every usable (k, l) and (k, m, generator) at every degree bound d <= 5
+    for d in range(6):
+        module = fock_space(d) if level == "fock" else induced_module(level, mu, d)
+        gens = range(len(module.algebra.gen_names))
+        for k in range(-d, d + 1):
+            for l in range(-d, d + 1):
+                if d >= 2 * max(abs(k), abs(l)) + 2:
+                    assert_same_residual(check_sugawara_bracket(k, l, module),
+                                         reference_sugawara_bracket(k, l, module))
+            for m in range(-d, d + 1):
+                if d - max(0, -k) - max(0, -m) >= 0:
+                    for g in gens:
+                        assert_same_residual(check_current_bracket(k, m, g, module),
+                                             reference_current_bracket(k, m, g, module))
+
+
+def test_skewed_residuals_match_the_reference_off_zero():
+    # a wrong coefficient leaves a nonzero residual; a term whose factor is
+    # not an integer multiple of a b's rescales the blocks of a.compose(b)
+    module = induced_module(2, 1, 5)
+    t1, t0, x = sugawara_op(1, module), sugawara_op(0, module), module.action(-1, 0)
+    cases = [(t1, x, [(2, module.action(0, 0))]),
+             (module.action(1, 2), x, [(Fraction(1, 3), t0), (1, module.action(0, 1))]),
+             (t0, t1, [(Fraction(-2, 5), t1)])]
+    for a, b, terms in cases:
+        want = reference_commutator(a, b)
+        for c, op in terms:
+            want = difference(want, scaled(op, c))
+        got = commutator(a, b, *terms)
+        assert got.max_abs() != 0
+        assert_same_residual(got, want)
 
 
 def test_sugawara_l0_eigenvalue():

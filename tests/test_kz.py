@@ -338,7 +338,11 @@ def test_transport_convergence_is_fourth_order():
 
 def test_transport_rejects_bad_paths():
     system = kz_system(2, (1, 1, 2))
-    with pytest.raises(InputError):
+    # z_0 crosses z_1 at t = 2/3, which no RK4 sample point t = k/2000 hits,
+    # so only the guard can name it
+    with pytest.raises(InputError, match="touches the diagonal z_0 = z_1"):
+        parallel_transport(system, [(1, 0, -2), (-0.5, 0, -2)], steps=1000)
+    with pytest.raises(InputError, match="touches the diagonal z_0 = z_1"):
         parallel_transport(system, [(1, 0, -2), (-1, 0, -2)], steps=1000)
     with pytest.raises(InputError):
         parallel_transport(system, [(1, 1, -2)], steps=1000)
@@ -466,6 +470,10 @@ LOCKSTEP_CASES = [
     (3, (1, 1, 1, 1, 1, 1), benchmark_loop(1.0, 6), 10),
     (5, (2, 2, 2, 2, 2), moving_path(5), 8),
     (6, (2, 2, 2, 2, 2, 2), moving_path(6), 4),
+    # z_0's pairs are nonzero at 13 of the 25 entries
+    (8, (4, 4, 4, 4), benchmark_loop(1.1, 4), 40),
+    # z_0 carries the trivial label, so the pairs it moves are zero: an empty pattern
+    (3, (0, 1, 1), benchmark_loop(1.0, 3), 40),
 ]
 
 
@@ -492,8 +500,8 @@ def test_lockstep_transport_evaluates_each_form_once(monkeypatch):
     calls = []
     generate = kz._connection_form
 
-    def counting(size, npairs):
-        form = generate(size, npairs)
+    def counting(*key):
+        form = generate(*key)
         return lambda *args: calls.append(args) or form(*args)
 
     monkeypatch.setattr(kz, "_connection_form", counting)
@@ -501,12 +509,19 @@ def test_lockstep_transport_evaluates_each_form_once(monkeypatch):
     assert len(calls) == 3617
 
 
+def flat_support(m):
+    """The flat indices r * dim + c of the nonzero entries of a square matrix."""
+    return tuple(r * len(m) + c for r, row in enumerate(m) for c, v in enumerate(row) if v)
+
+
 def test_connection_form_is_generated_from_integers_only():
-    # the forms of two systems with the same block size and the same number of
-    # moving pairs differ only in their arguments, so they share one function
+    # the forms of two systems with the same zero patterns differ only in their
+    # arguments, so they share one function
     a, b = kz_system(4, (2, 2, 2, 2)), kz_system(5, (2, 2, 2, 2))
     assert a.dim == b.dim == 3 and a.a_matrices != b.a_matrices
     # z_0 moves on the first segment: pairs (0, 1), (0, 2) and (0, 3)
+    supports = tuple(flat_support(a.a_matrices[0, j]) for j in (1, 2, 3))
+    assert supports == tuple(flat_support(b.a_matrices[0, j]) for j in (1, 2, 3))
     segment = benchmark_loop(1.0, 4)[:2]
     kz._connection_form.cache_clear()
     kz._transport_fixed(a, segment, 4)
@@ -514,5 +529,37 @@ def test_connection_form_is_generated_from_integers_only():
     kz._transport_fixed(b, segment, 4)
     assert kz._connection_form.cache_info().currsize == size == 1
     # no matrix entry, dz difference or point is a constant of the code
-    consts = kz._connection_form(9, 3).__code__.co_consts
+    pattern = tuple(sorted(set().union(*supports)))
+    consts = kz._connection_form(pattern, supports).__code__.co_consts
+    assert kz._connection_form.cache_info().currsize == 1
     assert all(type(c) is int or c in (None, 0j) for c in consts), consts
+
+
+def test_rk4_step_reads_only_the_zero_pattern():
+    # on the benchmark loop only z_0 moves; its three pairs leave A[0][2] and
+    # A[2][0] zero, so the step reads 7 of the 9 entries of each form
+    system = kz_system(4, (2, 2, 2, 2))
+    pattern = tuple(sorted(set().union(*(flat_support(system.a_matrices[0, j])
+                                         for j in (1, 2, 3)))))
+    assert pattern == (0, 1, 3, 4, 5, 7, 8)
+    kz._rk4_step.cache_clear()
+    kz._transport_fixed(system, benchmark_loop(1.0, 4), 40)
+    assert kz._rk4_step.cache_info().currsize == 1
+    names = kz._rk4_step(3, pattern).__code__.co_varnames
+    assert kz._rk4_step.cache_info().currsize == 1
+    for r, c in itertools.product(range(3), repeat=2):
+        read = {f"{o}{r}_{c}" in names for o in "abc"}
+        assert read == {r * 3 + c in pattern}, (r, c)
+
+
+def test_lockstep_transport_with_pairs_zero_where_others_are_not():
+    # A_01 is zero where A_02 is not and the reverse, A_12 is zero, and the
+    # middle row is zero in every pair, so each of its products is 0j
+    mats = {(0, 1): [[F(1), F(0), F(0)], [F(0), F(0), F(0)], [F(0), F(0), F(2)]],
+            (0, 2): [[F(0), F(1, 2), F(0)], [F(0), F(0), F(0)], [F(-1), F(0), F(1)]],
+            (1, 2): [[F(0)] * 3 for _ in range(3)]}
+    system = KZSystem(3, (2, 2, 2), 3, 3, mats, False, (2, 0, -2))
+    path = moving_path(3)
+    want = (reference_transport_fixed(system, path, 40),
+            reference_transport_fixed(system, path, 20))
+    assert repr(kz._transport_fixed(system, path, 40)) == repr(want)
