@@ -6,6 +6,7 @@ report and CI agree by construction. `virasoro_rows` and `sugawara_rows`
 give the per-identity rows of `verify virasoro|sugawara`. Every check runs
 on fixed ranges, the module constants below, and randomized point
 configurations use a fixed seed, keeping output byte-identical across runs.
+A check of many cases yields (case name, ok) pairs to `_verdict`, the one tally.
 
 Each check imports the layer functions it calls on its first lines, so a
 `verify` command loads only the layers its check runs.
@@ -45,9 +46,15 @@ def _row(name: str, window: tuple, residual) -> dict:
             "residual_norm": str(residual)}
 
 
-def _failures(cases: int, bad: list, noun: str) -> str:
-    """The failure line: how many of the cases failed, and the first by name."""
-    return f"{len(bad)}/{cases} {noun}, first {bad[0]}"
+def _verdict(name: str, outcomes, passed: str, noun: str) -> CheckResult:
+    """A check's result from its (case name, ok) pairs, streamed: the case count
+    and `passed` if every case holds, else how many failed and the first by name."""
+    cases, bad = 0, []
+    for cases, (case, ok) in enumerate(outcomes, 1):
+        if not ok:
+            bad.append(case)
+    detail = f"{cases} {passed}" if not bad else f"{len(bad)}/{cases} {noun}, first {bad[0]}"
+    return CheckResult(name, not bad, detail)
 
 
 def _sample_points(rng, n: int) -> tuple[Fraction, ...]:
@@ -62,18 +69,16 @@ def virasoro_rows(kmax: int, degree: int) -> list[dict]:
     for k in range(-kmax, kmax + 1):
         for l in range(-kmax, kmax + 1):
             res = check_sugawara_bracket(k, l, fock_space(degree))
-            rows.append(_row(f"virasoro[k={k},l={l}]", res.window, res.max_abs()))
+            rows.append(_row(f"virasoro[k={k},l={l}]", (0, res.hi), res.max_abs()))
     return rows
 
 
 def virasoro_bracket() -> CheckResult:
     """[L_k, L_l] = (l-k)L_{k+l} + central term, exactly, on the Fock window."""
     rows = virasoro_rows(VIRASORO_KMAX, VIRASORO_DEGREE)
-    bad = [r["name"] for r in rows if r["residual_norm"] != "0"]
-    detail = (f"{len(rows)} bracket pairs, |k|,|l| <= {VIRASORO_KMAX}, degree bound "
-              f"{VIRASORO_DEGREE}, all residuals 0" if not bad else
-              _failures(len(rows), bad, "nonzero residuals"))
-    return CheckResult("virasoro-bracket", not bad, detail)
+    return _verdict("virasoro-bracket", ((r["name"], r["residual_norm"] == "0") for r in rows),
+                    f"bracket pairs, |k|,|l| <= {VIRASORO_KMAX}, degree bound "
+                    f"{VIRASORO_DEGREE}, all residuals 0", "nonzero residuals")
 
 
 def sugawara_rows(level: int, mu: int, degree: int) -> list[dict]:
@@ -87,7 +92,7 @@ def sugawara_rows(level: int, mu: int, degree: int) -> list[dict]:
             if degree < 2 * max(abs(k), abs(l)) + 2:
                 continue
             res = check_sugawara_bracket(k, l, module)
-            rows.append(_row(f"sugawara-bracket[k={k},l={l}]", res.window, res.max_abs()))
+            rows.append(_row(f"sugawara-bracket[k={k},l={l}]", (0, res.hi), res.max_abs()))
     for k in ks:
         for m in range(-SUGAWARA_MMAX, SUGAWARA_MMAX + 1):
             if degree - max(0, -k) - max(0, -m) < 0:
@@ -95,7 +100,7 @@ def sugawara_rows(level: int, mu: int, degree: int) -> list[dict]:
             for g, gen in enumerate(SL2.gen_names):
                 res = check_current_bracket(k, m, g, module)
                 rows.append(_row(f"current[k={k},m={m},gen={gen}]",
-                                 res.window, res.max_abs()))
+                                 (0, res.hi), res.max_abs()))
     t0 = sugawara_op(0, module)
     c_mu = Fraction(mu * (mu + 2), 2)
     for n in range(degree + 1):
@@ -111,17 +116,12 @@ def sugawara_rows(level: int, mu: int, degree: int) -> list[dict]:
 
 def sugawara_identities() -> CheckResult:
     """Current brackets and the L0 spectrum for A1, levels 1 and 2, all labels."""
-    cases, bad = 0, []
-    for level in (1, 2):
-        for mu in range(level + 1):
-            rows = sugawara_rows(level, mu, SUGAWARA_DEGREE)
-            cases += len(rows)
-            bad += [f"l={level},mu={mu}:{r['name']}" for r in rows
-                    if r["residual_norm"] != "0"]
-    detail = (f"{cases} identities (brackets, currents, L0 spectra) at "
-              f"degree bound {SUGAWARA_DEGREE}, all residuals 0" if not bad else
-              _failures(cases, bad, "nonzero residuals"))
-    return CheckResult("sugawara-identities", not bad, detail)
+    outcomes = ((f"l={level},mu={mu}:{r['name']}", r["residual_norm"] == "0")
+                for level in (1, 2) for mu in range(level + 1)
+                for r in sugawara_rows(level, mu, SUGAWARA_DEGREE))
+    return _verdict("sugawara-identities", outcomes,
+                    "identities (brackets, currents, L0 spectra) at "
+                    f"degree bound {SUGAWARA_DEGREE}, all residuals 0", "nonzero residuals")
 
 
 def oracle_equivalence() -> CheckResult:
@@ -130,17 +130,17 @@ def oracle_equivalence() -> CheckResult:
     from .liealg import root_system
     from .oracle import three_point_rank
     rs = root_system("A1")
-    cases, bad = 0, []
-    for level in range(ORACLE_LEVEL_MAX + 1):
-        alph = alphabet(rs, level)
-        for m1, m2, m3 in itertools.product(range(level + 1), repeat=3):
-            cases += 1
-            if fusion_coeff(alph, (m1,), (m2,), (m3,)) != three_point_rank(level, m1, m2, m3):
-                bad.append(f"l={level},labels=({m1},{m2},{m3})")
-    detail = (f"{cases} triples across levels 0..{ORACLE_LEVEL_MAX}, "
-              f"fusion coefficient == block rank everywhere" if not bad else
-              _failures(cases, bad, "disagreements"))
-    return CheckResult("oracle-equivalence", not bad, detail)
+
+    def outcomes():
+        for level in range(ORACLE_LEVEL_MAX + 1):
+            alph = alphabet(rs, level)
+            for m1, m2, m3 in itertools.product(range(level + 1), repeat=3):
+                yield (f"l={level},labels=({m1},{m2},{m3})",
+                       fusion_coeff(alph, (m1,), (m2,), (m3,))
+                       == three_point_rank(level, m1, m2, m3))
+    return _verdict("oracle-equivalence", outcomes(),
+                    f"triples across levels 0..{ORACLE_LEVEL_MAX}, "
+                    "fusion coefficient == block rank everywhere", "disagreements")
 
 
 def fusion_axioms() -> CheckResult:
@@ -170,38 +170,31 @@ def block_dimensions() -> CheckResult:
     from .surface import (MarkedSurface, block_dimension, dumbbell_graph, four_point_graph,
                           theta_graph)
     rs = root_system("A1")
-    cases, bad = 0, []
 
-    def record(name, got, want):
-        nonlocal cases
-        cases += 1
-        if got != want:
-            bad.append(name)
-
-    for level in range(5):
-        record(f"torus,l={level}",
-               block_dimension(MarkedSurface(rs, level, 1, ())), level + 1)
-    g2 = MarkedSurface(rs, 1, 2, ())
-    record("genus2-theta,l=1", block_dimension(g2, theta_graph()), 4)
-    record("genus2-dumbbell,l=1", block_dimension(g2, dumbbell_graph()), 4)
-    for level in range(4):
-        labels = [(m,) for m in range(level + 1)]
-        for bound in itertools.product(labels, repeat=4):
-            surf = MarkedSurface(rs, level, 0, bound)
-            s = block_dimension(surf, four_point_graph("s"))
-            t = block_dimension(surf, four_point_graph("t"))
-            record(f"channels,l={level},labels={bound}", s, t)
-    for level in range(4):
-        for genus in (1, 2):
-            whole = block_dimension(MarkedSurface(rs, level, genus, ()))
-            parts = sum(
-                block_dimension(MarkedSurface(rs, level, genus - 1,
-                                              (mu, dual_weight(rs, mu))))
-                for mu in alphabet(rs, level).labels)
-            record(f"factorization,l={level},g={genus}", whole, parts)
-    detail = (f"{cases} dimension identities, all agree" if not bad else
-              _failures(cases, bad, "mismatches"))
-    return CheckResult("block-dimensions", not bad, detail)
+    def outcomes():
+        for level in range(5):
+            yield (f"torus,l={level}",
+                   block_dimension(MarkedSurface(rs, level, 1, ())) == level + 1)
+        g2 = MarkedSurface(rs, 1, 2, ())
+        yield "genus2-theta,l=1", block_dimension(g2, theta_graph()) == 4
+        yield "genus2-dumbbell,l=1", block_dimension(g2, dumbbell_graph()) == 4
+        for level in range(4):
+            labels = [(m,) for m in range(level + 1)]
+            for bound in itertools.product(labels, repeat=4):
+                surf = MarkedSurface(rs, level, 0, bound)
+                s = block_dimension(surf, four_point_graph("s"))
+                t = block_dimension(surf, four_point_graph("t"))
+                yield f"channels,l={level},labels={bound}", s == t
+        for level in range(4):
+            for genus in (1, 2):
+                whole = block_dimension(MarkedSurface(rs, level, genus, ()))
+                parts = sum(
+                    block_dimension(MarkedSurface(rs, level, genus - 1,
+                                                  (mu, dual_weight(rs, mu))))
+                    for mu in alphabet(rs, level).labels)
+                yield f"factorization,l={level},g={genus}", whole == parts
+    return _verdict("block-dimensions", outcomes(), "dimension identities, all agree",
+                    "mismatches")
 
 
 def propagation() -> CheckResult:
@@ -213,30 +206,27 @@ def propagation() -> CheckResult:
     from .oracle import propagation_check
     from .surface import MarkedSurface, block_dimension
     rs = root_system("A1")
-    cases, bad = 0, []
-    for level in range(4):
-        labels = alphabet(rs, level).labels
-        for genus in range(3):
-            for n in range(4):
-                for bound in itertools.product(labels, repeat=n):
-                    base = block_dimension(MarkedSurface(rs, level, genus, bound))
-                    grown = block_dimension(
-                        MarkedSurface(rs, level, genus, bound + (labels[0],)))
-                    cases += 1
-                    if base != grown:
-                        bad.append(f"surface,l={level},g={genus},labels={bound}")
-    rng = random.Random(POINT_SEED)
-    for level in range(3):
-        for n in range(1, 5):
-            for marks in itertools.product(range(level + 1), repeat=n):
-                for _ in range(3):
-                    z = _sample_points(rng, n)
-                    cases += 1
-                    if not propagation_check(level, marks, z):
-                        bad.append(f"npoint,l={level},labels={marks},z={z}")
-    detail = (f"{cases} propagation instances, dimension and rank preserved"
-              if not bad else _failures(cases, bad, "violations"))
-    return CheckResult("propagation", not bad, detail)
+
+    def outcomes():
+        for level in range(4):
+            labels = alphabet(rs, level).labels
+            for genus in range(3):
+                for n in range(4):
+                    for bound in itertools.product(labels, repeat=n):
+                        base = block_dimension(MarkedSurface(rs, level, genus, bound))
+                        grown = block_dimension(
+                            MarkedSurface(rs, level, genus, bound + (labels[0],)))
+                        yield f"surface,l={level},g={genus},labels={bound}", base == grown
+        rng = random.Random(POINT_SEED)
+        for level in range(3):
+            for n in range(1, 5):
+                for marks in itertools.product(range(level + 1), repeat=n):
+                    for _ in range(3):
+                        z = _sample_points(rng, n)
+                        yield (f"npoint,l={level},labels={marks},z={z}",
+                               propagation_check(level, marks, z))
+    return _verdict("propagation", outcomes(),
+                    "propagation instances, dimension and rank preserved", "violations")
 
 
 def dehn_twists() -> CheckResult:
@@ -279,19 +269,17 @@ def dehn_twists() -> CheckResult:
 def kz_flatness() -> CheckResult:
     """Kohno relations and residue sums for every A1 system in range."""
     from .kz import flatness_check, kz_system, residue_check
-    cases, bad = 0, []
-    for level in range(KZ_LEVEL_MAX + 1):
-        for n in range(2, KZ_NMAX + 1):
-            for marks in itertools.product(range(level + 1), repeat=n):
-                system = kz_system(level, marks)
-                flat = flatness_check(system)
-                residues = residue_check(system)
-                cases += 1
-                if not (flat and residues):
-                    bad.append(f"l={level},labels={marks}")
-    detail = (f"{cases} systems, Kohno relations and residue sums exact"
-              if not bad else _failures(cases, bad, "failures"))
-    return CheckResult("kz-flatness", not bad, detail)
+
+    def outcomes():
+        for level in range(KZ_LEVEL_MAX + 1):
+            for n in range(2, KZ_NMAX + 1):
+                for marks in itertools.product(range(level + 1), repeat=n):
+                    system = kz_system(level, marks)
+                    flat = flatness_check(system)
+                    residues = residue_check(system)
+                    yield f"l={level},labels={marks}", flat and residues
+    return _verdict("kz-flatness", outcomes(),
+                    "systems, Kohno relations and residue sums exact", "failures")
 
 
 def _identity_deviation(matrix):
@@ -314,41 +302,37 @@ def kz_transport() -> CheckResult:
 
     from .kz import kz_system, parallel_transport
     system = kz_system(2, (1, 1, 2))
-    rows, bad = [], []
+    bad = []
 
     loop = [(2, 0, -2), (2 + 1j, 0, -2), (3 + 1j, 0, -2), (3, 0, -2), (2, 0, -2)]
     res = parallel_transport(system, loop, steps=TRANSPORT_STEPS,
                              tolerance=TRANSPORT_TOLERANCE)
     dev = _identity_deviation(res.matrix)
-    rows.append({"name": "contractible-loop", "deviation": dev,
-                 "steps": res.steps, "converged": res.converged})
     if dev > TRANSPORT_TOLERANCE or not res.converged:
-        bad.append(rows[-1])
+        bad.append({"name": "contractible-loop", "deviation": dev,
+                    "steps": res.steps, "converged": res.converged})
 
     upper = [(2, 0, -2), (2 + 1j, 0, -2), (4 + 1j, 0, -2), (4, 0, -2)]
     lower = [(2, 0, -2), (2 - 1j, 0, -2), (4 - 1j, 0, -2), (4, 0, -2)]
     diff = _max_diff(parallel_transport(system, upper, steps=TRANSPORT_STEPS).matrix,
                      parallel_transport(system, lower, steps=TRANSPORT_STEPS).matrix)
-    rows.append({"name": "homotopic-paths", "difference": diff})
     if diff > TRANSPORT_TOLERANCE:
-        bad.append(rows[-1])
+        bad.append({"name": "homotopic-paths", "difference": diff})
 
     around = [(2, 0, -2), (2 + 3j, 0, -2), (-1 + 3j, 0, -2), (-1 - 3j, 0, -2),
               (2 - 3j, 0, -2), (2, 0, -2)]
     encircling = parallel_transport(system, around, steps=TRANSPORT_STEPS)
     monodromy = _max_diff(encircling.matrix,
                           parallel_transport(system, loop, steps=TRANSPORT_STEPS).matrix)
-    rows.append({"name": "encircling-loop", "difference": monodromy})
     if monodromy < 1e-3:
-        bad.append(rows[-1])
+        bad.append({"name": "encircling-loop", "difference": monodromy})
 
     # Liouville: det Y = exp of the integral of tr Omega, and on `around` only
     # z_0 - z_1 winds, once counterclockwise
     trace = sum(system.a_matrices[(0, 1)][r][r] for r in range(system.dim))
     gap = abs(encircling.determinant - cmath.exp(2j * math.pi * float(trace)))
-    rows.append({"name": "liouville-determinant", "trace": str(trace), "gap": gap})
     if gap > TRANSPORT_TOLERANCE:
-        bad.append(rows[-1])
+        bad.append({"name": "liouville-determinant", "trace": str(trace), "gap": gap})
 
     # convergence order must be read off at coarse steps: finer grids sit at
     # the rounding floor where halving ratios are noise
@@ -357,10 +341,8 @@ def kz_transport() -> CheckResult:
     devs = [_identity_deviation(parallel_transport(system, tight, steps=s).matrix)
             for s in (100, 200, 400)]
     orders = [math.log2(devs[i] / devs[i + 1]) for i in range(2)]
-    rows.append({"name": "convergence-order", "deviations": devs,
-                 "orders": orders})
     if min(orders) < 3.5:
-        bad.append(rows[-1])
+        bad.append({"name": "convergence-order", "deviations": devs, "orders": orders})
 
     detail = (f"loop deviation {dev:.3e}, homotopy gap {diff:.3e}, "
               f"order {min(orders):.2f}" if not bad else
@@ -391,19 +373,17 @@ def rank_z_independence() -> CheckResult:
 
     from .oracle import CoinvariantProblem, npoint_block_rank
     rng = random.Random(POINT_SEED)
-    cases, bad = 0, []
-    for level in range(3):
-        for n in range(1, 5):
-            for marks in itertools.product(range(level + 1), repeat=n):
-                ranks = {npoint_block_rank(CoinvariantProblem(level, marks,
-                                                              _sample_points(rng, n)))
-                         for _ in range(3)}
-                cases += 1
-                if len(ranks) != 1:
-                    bad.append(f"l={level},labels={marks}")
-    detail = (f"{cases} cases x 3 configurations, ranks independent of z"
-              if not bad else _failures(cases, bad, "cases vary"))
-    return CheckResult("rank-z-independence", not bad, detail)
+
+    def outcomes():
+        for level in range(3):
+            for n in range(1, 5):
+                for marks in itertools.product(range(level + 1), repeat=n):
+                    ranks = {npoint_block_rank(CoinvariantProblem(level, marks,
+                                                                  _sample_points(rng, n)))
+                             for _ in range(3)}
+                    yield f"l={level},labels={marks}", len(ranks) == 1
+    return _verdict("rank-z-independence", outcomes(),
+                    "cases x 3 configurations, ranks independent of z", "cases vary")
 
 
 ALL_CHECKS = (

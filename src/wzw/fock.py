@@ -5,12 +5,11 @@ graded pieces, one rational factor, and the degree window [0, hi] on which
 the truncation agrees with the true operator (degrees below 0 are empty).
 `InducedModule.action` fills each current column by column from the
 straightening; a Sugawara block holds 4C(D_k), summed from current products.
-Compositions and sums take the smaller top edge, so identity checks on a
-window are honest statements about the untruncated algebra.  A bracket
-residual is one sum: `commutator` composes a b on the residual's window
-only and adds -b a and the identity's linear terms into its fresh blocks,
-over one common factor; `_mm` is the one sparse product, indexing the
-smaller factor of each.
+Compositions take the smaller top edge, so identity checks on a window are
+honest statements about the untruncated algebra.  A bracket residual is one
+sum: `commutator` composes a b on the residual's window only and adds -b a
+and the identity's linear terms into its fresh blocks, over one common
+factor; `_mm` is the one sparse product, indexing the smaller factor of each.
 
 One construction serves every current algebra g with an invariant form: the
 module induced from a g-irrep at level l, and the Sugawara operators on it.
@@ -41,6 +40,7 @@ pairings; eps_n = H_n^-T is the only rational matrix the gluing tensor holds.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
@@ -287,40 +287,28 @@ def _nonzero(blk: dict) -> dict:
     return {k: v for k, v in blk.items() if v}
 
 
-def _common_factor(*factors: Fraction) -> Fraction:
-    """gcd(numerators)/lcm(denominators), which divides each factor to an integer."""
-    return Fraction(gcd(*(f.numerator for f in factors)),
-                    lcm(*(f.denominator for f in factors)))
-
-
-class GradedOperator:
+class GradedOperator(namedtuple("GradedOperator", "space shift hi blocks factor")):
     """Band matrix between graded pieces, valid on input degrees [0, hi].
 
     Maps degree n to degree n - shift; blocks[n] is the sparse integer matrix
     {(row, col): value} from basis(n) to basis(n - shift), held for
     0 <= n <= hi only.  The operator is `factor` times its blocks; the factor
     is its one rational number, applied once where entries are read out
-    (`entries`, `max_abs`).
+    (`entries`, `max_abs`).  Read-only: the cached operators are shared by every caller.
     """
 
-    def __init__(self, space, shift: int, hi: int, blocks: dict,
-                 factor: Fraction = Fraction(1)):
+    __slots__ = ()
+
+    def __new__(cls, space, shift: int, hi: int, blocks: dict,
+                factor: Fraction = Fraction(1)):
         if hi < 0:
             raise InputError(f"a shift-{shift} operator has an empty valid window "
                              f"at degree bound {space.degree_bound}")
-        self.space = space
-        self.shift = shift
-        self.hi = hi
-        self.blocks = blocks
-        self.factor = factor
-
-    @property
-    def window(self) -> tuple[int, int]:
-        return (0, self.hi)
+        return super().__new__(cls, space, shift, hi, blocks, factor)
 
     def block(self, n: int) -> dict:
         if n > self.hi:
-            raise InputError(f"degree {n} outside valid window {self.window}")
+            raise InputError(f"degree {n} outside valid window {(0, self.hi)}")
         return self.blocks.get(n, {})
 
     def compose(self, other: "GradedOperator") -> "GradedOperator":
@@ -334,21 +322,6 @@ class GradedOperator:
                                      other.blocks.get(n, {})))
         return GradedOperator(self.space, self.shift + other.shift, hi, blocks,
                               self.factor * other.factor)
-
-    def add(self, other: "GradedOperator") -> "GradedOperator":
-        """The sum, over the common factor gcd(f, g) = gcd(numerators)/lcm(denominators)."""
-        if self.space != other.space or self.shift != other.shift:
-            raise InternalError("adding incompatible graded operators")
-        hi = min(self.hi, other.hi)
-        common = _common_factor(self.factor, other.factor)
-        a, b = int(self.factor / common), int(other.factor / common)
-        blocks = {}
-        for n in range(hi + 1):
-            blk = {k: a * v for k, v in self.blocks.get(n, {}).items()}
-            for k, v in other.blocks.get(n, {}).items():
-                blk[k] = blk.get(k, 0) + b * v
-            blocks[n] = _nonzero(blk)
-        return GradedOperator(self.space, self.shift, hi, blocks, common)
 
     def max_abs(self) -> Fraction:
         top = max((abs(v) for blk in self.blocks.values() for v in blk.values()), default=0)
@@ -374,7 +347,9 @@ def commutator(a: GradedOperator, b: GradedOperator, *terms) -> GradedOperator:
     if any(op.space != ab.space or op.shift != ab.shift for _, op in terms):
         raise InternalError("adding incompatible graded operators")
     terms = [(c * op.factor, op.blocks) for c, op in terms if c]
-    common = _common_factor(ab.factor, *(f for f, _ in terms))
+    factors = [ab.factor] + [f for f, _ in terms]
+    # gcd(numerators)/lcm(denominators) divides each factor to an integer
+    common = Fraction(gcd(*(f.numerator for f in factors)), lcm(*(f.denominator for f in factors)))
     if ab.factor < 0:
         common = -common
     w = int(ab.factor / common)
@@ -482,7 +457,7 @@ def gram_blocks(module: InducedModule) -> list:
     return blocks
 
 
-class IntegrableQuotient:
+class IntegrableQuotient(namedtuple("IntegrableQuotient", "gram kept")):
     """Degreewise quotient of an induced module by the radical of b.
 
     `gram[n]` is the integer Gram block G_n of `gram_blocks`.  Every one
@@ -492,12 +467,7 @@ class IntegrableQuotient:
     kept Gram block H_n = G_n[kept, kept] is the quotient pairing.
     """
 
-    def __init__(self, gram: list, kept: dict):
-        self.gram = gram
-        self.kept = kept
-
-    def dim(self, n: int) -> int:
-        return len(self.kept.get(n, ()))
+    __slots__ = ()
 
     def pairing(self, op: GradedOperator, n: int) -> list:
         """G_m[kept, :] op[:, kept] at input degree n, m = n - shift, on integers.
@@ -530,7 +500,7 @@ def integrable_quotient(module: InducedModule) -> IntegrableQuotient:
     return IntegrableQuotient(gram=gram, kept=kept)
 
 
-class GluingTensorSeries:
+class GluingTensorSeries(namedtuple("GluingTensorSeries", "terms residuals")):
     """epsilon_d = transpose inverse of the quotient Gram blocks of b_mu.
 
     terms[d] is the matrix of epsilon_d over the kept bases, checked to invert
@@ -539,9 +509,7 @@ class GluingTensorSeries:
     the first identity that fails.
     """
 
-    def __init__(self, terms: list, residuals: list):
-        self.terms = terms
-        self.residuals = residuals
+    __slots__ = ()
 
 
 def gluing_tensor(level: int, mu: int, d: int) -> GluingTensorSeries:

@@ -32,6 +32,7 @@ holonomy, and `TransportResult` refuses every non-finite holonomy.
 from __future__ import annotations
 
 import cmath
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -103,21 +104,14 @@ def _validate_labels(labels) -> tuple:
     return labels
 
 
-class KZSystem:
+class KZSystem(namedtuple("KZSystem", "level labels dim classical_dim a_matrices "
+                                       "truncated base_point")):
     """Exact KZ data on the block quotient of a labeled configuration.
 
     `a_matrices` maps (i, j) with i < j, 0-based, to a dim x dim matrix.
     """
 
-    def __init__(self, level: int, labels: tuple, dim: int, classical_dim: int,
-                 a_matrices: dict, truncated: bool, base_point: tuple):
-        self.level = level
-        self.labels = labels
-        self.dim = dim
-        self.classical_dim = classical_dim
-        self.a_matrices = a_matrices
-        self.truncated = truncated
-        self.base_point = base_point
+    __slots__ = ()
 
     @property
     def n(self) -> int:

@@ -16,8 +16,9 @@ from pathlib import Path
 import pytest
 
 import wzw
-from wzw.fock import SL2
+from wzw.fock import SL2, gluing_tensor, induced_module, integrable_quotient
 from wzw.fusion import alphabet, fusion_table
+from wzw.kz import kz_system
 from wzw.liealg import root_system, sl2_irrep_matrices
 from wzw.oracle import CoinvariantProblem
 from wzw.surface import MarkedSurface, TwistEigenvalue, canonical_graph
@@ -157,6 +158,10 @@ READ_ONLY = {
     "TwistEigenvalue": (TwistEigenvalue(Fraction(1, 2)), "exponent"),
     "CoinvariantProblem": (CoinvariantProblem(1, (1, 1)), "points"),
     "CurrentAlgebra": (SL2, "dual_coxeter"),
+    "GradedOperator": (induced_module(1, 0, 2).action(-1, 0), "hi"),
+    "KZSystem": (kz_system(1, (1, 1)), "labels"),
+    "IntegrableQuotient": (integrable_quotient(induced_module(1, 0, 2)), "kept"),
+    "GluingTensorSeries": (gluing_tensor(1, 0, 2), "terms"),
 }
 
 

@@ -152,8 +152,11 @@ def test_virasoro_bracket_names_its_first_nonzero_residual(monkeypatch):
     real = fock.check_sugawara_bracket
 
     def skewed(k, l, module):
-        res = real(k, l, module)
-        return res.add(fock.sugawara_op(0, module)) if (k, l) == (1, -1) else res
+        if (k, l) != (1, -1):
+            return real(k, l, module)
+        # the residual [L_1, L_-1] - 2 L_0 (no central term at k = 1), plus L_0
+        t1, t_1, t0 = (fock.sugawara_op(j, module) for j in (1, -1, 0))
+        return fock.commutator(t1, t_1, (-2, t0), (-1, t0))
 
     monkeypatch.setattr(fock, "check_sugawara_bracket", skewed)
     result = checks.virasoro_bracket()

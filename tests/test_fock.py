@@ -1,6 +1,7 @@
 """Induced modules of sl2 and of the Heisenberg algebra (the Fock space), Sugawara action, gluing."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -24,8 +25,23 @@ def scaled(op, c):
     return GradedOperator(op.space, op.shift, op.hi, op.blocks, op.factor * c)
 
 
+def add(a, b):
+    """The sum on the smaller window, over the common factor gcd(numerators)/lcm(denominators)."""
+    assert a.space == b.space and a.shift == b.shift
+    common = Fraction(gcd(a.factor.numerator, b.factor.numerator),
+                      lcm(a.factor.denominator, b.factor.denominator))
+    x, y = int(a.factor / common), int(b.factor / common)
+    blocks = {}
+    for n in range(min(a.hi, b.hi) + 1):
+        blk = {k: x * v for k, v in a.blocks.get(n, {}).items()}
+        for k, v in b.blocks.get(n, {}).items():
+            blk[k] = blk.get(k, 0) + y * v
+        blocks[n] = {k: v for k, v in blk.items() if v}
+    return GradedOperator(a.space, a.shift, min(a.hi, b.hi), blocks, common)
+
+
 def difference(a, b):
-    return a.add(scaled(b, -1))
+    return add(a, scaled(b, -1))
 
 
 def dense_block(op, n):
@@ -62,7 +78,7 @@ def test_oscillator_commutator_raw():
     d = 6
     space = fock_space(d)
     res = commutator(space.action(1, 0), space.action(-1, 0))
-    for n in range(res.window[0], res.window[1] + 1):
+    for n in range(res.hi + 1):
         blk = dense_block(res, n)
         for i in range(len(blk)):
             for j in range(len(blk)):
@@ -110,8 +126,8 @@ def test_action_is_built_once_and_left_unchanged_by_arithmetic():
                 for a in (op, other)]
     commutator(op, other)
     commutator(op, other, (2, module.action(0, 1)), (Fraction(1, 3), sugawara_op(0, module)))
-    difference(op.add(module.action(-1, 2)), scaled(op, Fraction(2, 3)))
-    scaled(op, 0).add(op)
+    difference(add(op, module.action(-1, 2)), scaled(op, Fraction(2, 3)))
+    add(scaled(op, 0), op)
     scaled(other.compose(op), -1).compose(sugawara_op(1, module))
     assert [(a.factor, a.blocks) for a in (op, other)] == snapshot
     assert module.action(-1, 0).blocks[2] and module.action(-1, 0) is op
@@ -132,12 +148,12 @@ def test_every_empty_action_result_is_one_shared_read_only_object():
 def test_quotient_graded_dimensions():
     for (level, mu), dims in QUOTIENT_DIMS.items():
         quot = integrable_quotient(induced_module(level, mu, 6))
-        assert [quot.dim(n) for n in range(7)] == dims
+        assert [len(quot.kept[n]) for n in range(7)] == dims
 
 
 def test_level_zero_quotient_is_trivial():
     quot = integrable_quotient(induced_module(0, 0, 3))
-    assert [quot.dim(n) for n in range(4)] == [1, 0, 0, 0]
+    assert [len(quot.kept[n]) for n in range(4)] == [1, 0, 0, 0]
 
 
 def reference_gram(module):
@@ -264,15 +280,15 @@ def reference_sugawara(k, module):
         term = None
         for ga, gb, c in algebra.dual_pairs:
             piece = scaled(module.action(i, ga).compose(module.action(j, gb)), c)
-            term = piece if term is None else term.add(piece)
+            term = piece if term is None else add(term, piece)
         return term
 
     total = GradedOperator(module, k, min(d, d + k), {})
     for j in range(k // 2 + 1, d + 1):
         if abs(k - j) <= d:
-            total = total.add(factor_pair(k - j, j))
+            total = add(total, factor_pair(k - j, j))
     if k % 2 == 0 and abs(k // 2) <= d:
-        total = total.add(scaled(factor_pair(k // 2, k // 2), Fraction(1, 2)))
+        total = add(total, scaled(factor_pair(k // 2, k // 2), Fraction(1, 2)))
     return scaled(total, Fraction(-1, module.level + algebra.dual_coxeter))
 
 
@@ -377,7 +393,7 @@ def reference_sugawara_bracket(k, l, module):
 
 
 def assert_same_residual(got, want):
-    assert got.window == want.window
+    assert got.hi == want.hi
     for n in range(want.hi + 1):
         assert got.entries(n) == want.entries(n), n
     assert got.max_abs() == want.max_abs()
