@@ -166,7 +166,7 @@ def fusion_axioms() -> CheckResult:
 def block_dimensions() -> CheckResult:
     """Torus counts, graph independence, channel agreement, factorization."""
     from .fusion import alphabet
-    from .liealg import dual_weight, root_system
+    from .liealg import root_system
     from .surface import (MarkedSurface, block_dimension, dumbbell_graph, four_point_graph,
                           theta_graph)
     rs = root_system("A1")
@@ -186,12 +186,12 @@ def block_dimensions() -> CheckResult:
                 t = block_dimension(surf, four_point_graph("t"))
                 yield f"channels,l={level},labels={bound}", s == t
         for level in range(4):
+            alph = alphabet(rs, level)
             for genus in (1, 2):
                 whole = block_dimension(MarkedSurface(rs, level, genus, ()))
-                parts = sum(
-                    block_dimension(MarkedSurface(rs, level, genus - 1,
-                                                  (mu, dual_weight(rs, mu))))
-                    for mu in alphabet(rs, level).labels)
+                parts = sum(block_dimension(MarkedSurface(rs, level, genus - 1,
+                                                          (mu, alph.labels[alph.dual[i]])))
+                            for i, mu in enumerate(alph.labels))
                 yield f"factorization,l={level},g={genus}", whole == parts
     return _verdict("block-dimensions", outcomes(), "dimension identities, all agree",
                     "mismatches")
@@ -236,33 +236,27 @@ def dehn_twists() -> CheckResult:
     from .liealg import casimir_eigenvalue, root_system
     from .surface import dehn_twist_eigenvalue
     cases = [("A1", level) for level in range(1, 5)] + [("A2", level) for level in (1, 2)]
-    rows, bad = [], []
+    count, bad = 0, []
     for name, level in cases:
         rs = root_system(name)
         h = rs.dual_coxeter
         for mu in alphabet(rs, level).labels:
-            tw = dehn_twist_eigenvalue(rs, level, mu)
-            r = tw.exponent
-            want = casimir_eigenvalue(rs, mu) / (level + h) % 2
+            count += 1
+            r = dehn_twist_eigenvalue(rs, level, mu).exponent
             triple = 3 * (level + h) * r
-            entry = {"name": f"{name},l={level},mu={mu}", "exponent": str(r),
-                     "eigenvalue": tw.eigenvalue_text(),
-                     "integrality": f"3(l+h)r = {triple}"}
-            rows.append(entry)
-            if r != want:
-                entry["status"] = "wrong exponent"
-                bad.append(entry)
+            if r != casimir_eigenvalue(rs, mu) / (level + h) % 2:
+                status = "wrong exponent"
             elif triple.denominator != 1:
-                entry["status"] = "3(l+h)r not an integer"
-                bad.append(entry)
+                status = "3(l+h)r not an integer"
+            else:
+                continue
+            bad.append(f"{name},l={level},mu={mu}: {status} (3(l+h)r = {triple})")
     special = dehn_twist_eigenvalue(root_system("A1"), 1, (1,))
     if (special.exponent != Fraction(1, 2)
             or special.eigenvalue_text() != "exp(-i*pi/2)"):
-        bad.append({"name": "A1,l=1,mu=(1,)", "status": "expected exactly -i"})
-    detail = (f"{len(rows)} twist eigenvalues, exponents and integrality all hold"
-              if not bad else
-              f"{len(bad)}/{len(rows)} failures, first {bad[0]['name']}: "
-              f"{bad[0]['status']} ({bad[0].get('integrality', '')})")
+        bad.append("A1,l=1,mu=(1,): expected exactly -i ()")
+    detail = (f"{count} twist eigenvalues, exponents and integrality all hold" if not bad
+              else f"{len(bad)}/{count} failures, first {bad[0]}")
     return CheckResult("dehn-twists", not bad, detail)
 
 
@@ -321,9 +315,9 @@ def kz_transport() -> CheckResult:
 
     around = [(2, 0, -2), (2 + 3j, 0, -2), (-1 + 3j, 0, -2), (-1 - 3j, 0, -2),
               (2 - 3j, 0, -2), (2, 0, -2)]
+    # res is the contractible loop at the same steps; the tolerance sets only `converged`
     encircling = parallel_transport(system, around, steps=TRANSPORT_STEPS)
-    monodromy = _max_diff(encircling.matrix,
-                          parallel_transport(system, loop, steps=TRANSPORT_STEPS).matrix)
+    monodromy = _max_diff(encircling.matrix, res.matrix)
     if monodromy < 1e-3:
         bad.append({"name": "encircling-loop", "difference": monodromy})
 

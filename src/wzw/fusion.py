@@ -144,8 +144,8 @@ def fusion_coeff(alph: FusionAlphabet, lam, mu, nu) -> int:
     return alph.row(i, j)[k]
 
 
-class FusionRing(namedtuple("FusionRing", "alphabet table")):
-    """A verified ring: table[i][j][k] = N(labels[i], labels[j], labels[k])."""
+class FusionRing(namedtuple("FusionRing", "table")):
+    """A verified ring: table[i][j][k] = N(labels[i], labels[j], labels[k]) of its alphabet."""
 
     __slots__ = ()
 
@@ -180,4 +180,4 @@ def fusion_table(alph: FusionAlphabet) -> FusionRing:
         if mat_mul(mats[a], mats[b]) != mat_mul(mats[b], mats[a]):
             raise InternalError(f"fusion axiom 'associativity' violated: "
                                 f"M_{labels[a]} and M_{labels[b]} do not commute")
-    return FusionRing(alphabet=alph, table=table)
+    return FusionRing(table=table)

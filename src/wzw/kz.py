@@ -199,15 +199,18 @@ def residue_check(system: KZSystem) -> bool:
 # ---------------------------------------------------------------------------
 # numeric parallel transport
 
-class TransportResult:
+class TransportResult(namedtuple("TransportResult", "matrix steps path error_estimate "
+                                                     "converged determinant")):
     """Holonomy matrix of a piecewise-linear path, with a halving estimate.
 
     `matrix` is a dim x dim list of complex rows and `determinant` its
-    determinant.
+    determinant, computed on construction from the other five fields.
     """
 
-    def __init__(self, matrix: list, steps: int, path: str, error_estimate: float,
-                 converged: bool):
+    __slots__ = ()
+
+    def __new__(cls, matrix: list, steps: int, path: str, error_estimate: float,
+                converged: bool):
         # a holonomy is finite and invertible, so a non-finite entry or |det|
         # inside the error estimate means the steps do not resolve the path,
         # not a broken invariant
@@ -216,16 +219,12 @@ class TransportResult:
                 and all(cmath.isfinite(v) for row in matrix for v in row)):
             raise InputError(f"transport matrix is not resolved by the steps: an entry "
                              f"or the error estimate is not finite; {advice}")
-        self.determinant = _det(matrix)
-        d = abs(self.determinant)
+        determinant = _det(matrix)
+        d = abs(determinant)
         if matrix and d <= error_estimate:
             raise InputError(f"transport matrix is not resolved by the steps: "
                              f"|det| = {d:.3e} <= error {error_estimate:.3e}; {advice}")
-        self.matrix = matrix
-        self.steps = steps
-        self.path = path
-        self.error_estimate = error_estimate
-        self.converged = converged
+        return super().__new__(cls, matrix, steps, path, error_estimate, converged, determinant)
 
 
 def _det(m: list) -> complex:
@@ -250,7 +249,7 @@ def _det(m: list) -> complex:
 
 
 def _segment_guard(p, q):
-    """Reject a segment that meets a diagonal z_i = z_j or overflows a float."""
+    """Reject a segment of complex tuples p, q that meets a diagonal z_i = z_j or overflows."""
     n = len(p)
     for i in range(n):
         for j in range(i + 1, n):
@@ -364,9 +363,7 @@ def _transport_fixed(system: KZSystem, waypoints, per_seg: int) -> tuple:
         return forms[t]
 
     full = half = [tuple(1.0 + 0j if r == c else 0j for r in range(dim)) for c in range(dim)]
-    for s in range(len(waypoints) - 1):
-        p = [complex(x) for x in waypoints[s]]
-        q = [complex(x) for x in waypoints[s + 1]]
+    for p, q in zip(waypoints, waypoints[1:]):
         dz = [b - a for a, b in zip(p, q)]
         if all(abs(d) == 0 for d in dz):
             continue
@@ -398,20 +395,20 @@ def parallel_transport(system: KZSystem, path, steps: int,
         raise InputError(f"level truncation is not supported for transport: labels "
                          f"{system.labels} at level {system.level} truncate the block; "
                          f"`wzw oracle npoint` gives its rank")
-    waypoints = [tuple(p) for p in path]
+    waypoints = [tuple(complex(x) for x in p) for p in path]
     if len(waypoints) < 1:
         raise InputError("path needs at least one configuration")
     for p in waypoints:
         if len(p) != system.n:
             raise InputError(f"configuration has {len(p)} points, expected {system.n}")
-        _segment_guard([complex(x) for x in p], [complex(x) for x in p])
     if steps < 100:
         raise InputError(f"need at least 100 steps, got {steps}")
     if not 0 < tolerance < cmath.inf:
         raise InputError(f"tolerance must be a finite number > 0, got {tolerance}")
-    for s in range(len(waypoints) - 1):
-        _segment_guard([complex(x) for x in waypoints[s]],
-                       [complex(x) for x in waypoints[s + 1]])
+    # a segment is no farther from a diagonal than its ends and no smaller in
+    # scale, so it guards them; a lone configuration is the segment (p, p)
+    for p, q in zip(waypoints, waypoints[1:] or waypoints):
+        _segment_guard(p, q)
     segs = len(waypoints) - 1
     per_seg = max(2, 2 * ((steps + 2 * segs - 1) // (2 * segs))) if segs else 0
     full, half = _transport_fixed(system, waypoints, per_seg)

@@ -124,6 +124,22 @@ class IntSpan:
     def rank(self) -> int:
         return len(self.pivots)
 
+    def _eliminate(self, row: dict[int, int], c: int) -> tuple[dict[int, int], int]:
+        """Clear column c of row by the step above; returns the row (maybe `row`) and a/g."""
+        piv = self.pivots[c]
+        a, b = piv[c], row[c]
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        if a != 1:
+            row = {col: a * v for col, v in row.items()}
+        for col, v in piv.items():
+            nv = row.get(col, 0) - b * v
+            if nv:
+                row[col] = nv
+            else:
+                del row[col]
+        return row, a
+
     def add(self, row: dict[int, int]) -> bool:
         """Insert a sparse integer row; returns True iff the rank grew.
 
@@ -132,21 +148,10 @@ class IntSpan:
         row = {c: v for c, v in row.items() if v}
         while row:
             lead = min(row)
-            piv = self.pivots.get(lead)
-            if piv is None:
+            if lead not in self.pivots:
                 self.pivots[lead] = _gcd_normalize(row)
                 return True
-            a, b = piv[lead], row[lead]
-            g = gcd(a, b)
-            a, b = a // g, b // g
-            if a != 1:
-                row = {c: a * v for c, v in row.items()}
-            for c, v in piv.items():
-                nv = row.get(c, 0) - b * v
-                if nv:
-                    row[c] = nv
-                else:
-                    del row[c]
+            row, a = self._eliminate(row, lead)
             if a != 1 and row:
                 row = _gcd_normalize(row)
         return False
@@ -168,17 +173,5 @@ class IntSpan:
             hit = [c for c in out if c in self.pivots]
             if not hit:
                 return {c: Fraction(v, den) for c, v in out.items()}
-            c = min(hit)
-            piv = self.pivots[c]
-            a, b = piv[c], out[c]
-            g = gcd(a, b)
-            a, b = a // g, b // g
-            if a != 1:
-                out = {col: a * v for col, v in out.items()}
-                den *= a
-            for col, v in piv.items():
-                nv = out.get(col, 0) - b * v
-                if nv:
-                    out[col] = nv
-                else:
-                    del out[col]
+            out, a = self._eliminate(out, min(hit))
+            den *= a

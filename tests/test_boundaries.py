@@ -18,7 +18,7 @@ import pytest
 import wzw
 from wzw.fock import SL2, gluing_tensor, induced_module, integrable_quotient
 from wzw.fusion import alphabet, fusion_table
-from wzw.kz import kz_system
+from wzw.kz import TransportResult, kz_system
 from wzw.liealg import root_system, sl2_irrep_matrices
 from wzw.oracle import CoinvariantProblem
 from wzw.surface import MarkedSurface, TwistEigenvalue, canonical_graph
@@ -162,6 +162,8 @@ READ_ONLY = {
     "KZSystem": (kz_system(1, (1, 1)), "labels"),
     "IntegrableQuotient": (integrable_quotient(induced_module(1, 0, 2)), "kept"),
     "GluingTensorSeries": (gluing_tensor(1, 0, 2), "terms"),
+    "TransportResult": (TransportResult([[1j]], 100, "1 waypoints, 0 segments", 0.0, True),
+                        "matrix"),
 }
 
 

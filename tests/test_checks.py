@@ -72,6 +72,21 @@ def test_kz_transport_names_a_trivial_monodromy(monkeypatch):
                                     "'difference': 0.0})")
 
 
+def test_kz_transport_integrates_each_loop_once(monkeypatch):
+    real = kz.parallel_transport
+    paths = []
+
+    def counted(system, path, **kwargs):
+        paths.append(path)
+        return real(system, path, **kwargs)
+
+    monkeypatch.setattr(kz, "parallel_transport", counted)
+    assert checks.kz_transport().passed
+    # contractible loop, two homotopic paths, the encircling loop, three order runs
+    assert len(paths) == 7
+    assert paths.count(paths[0]) == 1
+
+
 def test_dehn_twists_counts_a_wrong_special_text(monkeypatch):
     real = surface.TwistEigenvalue.eigenvalue_text
     assert checks.dehn_twists().detail.startswith("6/23 failures, first A1,l=1,mu=(1,)")

@@ -344,7 +344,8 @@ def test_transport_rejects_bad_paths():
         parallel_transport(system, [(1, 0, -2), (-0.5, 0, -2)], steps=1000)
     with pytest.raises(InputError, match="touches the diagonal z_0 = z_1"):
         parallel_transport(system, [(1, 0, -2), (-1, 0, -2)], steps=1000)
-    with pytest.raises(InputError):
+    # a lone configuration is guarded as the zero-length segment to itself
+    with pytest.raises(InputError, match="touches the diagonal z_0 = z_1"):
         parallel_transport(system, [(1, 1, -2)], steps=1000)
     with pytest.raises(InputError):
         parallel_transport(system, [(2, 0, -2), (3, 0, -2)], steps=50)
