@@ -276,17 +276,6 @@ def kz_flatness() -> CheckResult:
                     "systems, Kohno relations and residue sums exact", "failures")
 
 
-def _identity_deviation(matrix):
-    return max((abs(v - (1 if i == j else 0))
-                for i, row in enumerate(matrix) for j, v in enumerate(row)),
-               default=0.0)
-
-
-def _max_diff(a, b) -> float:
-    return max((abs(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)),
-               default=0.0)
-
-
 def kz_transport() -> CheckResult:
     """Holonomy of the numeric KZ transport: identity on contractible loops,
     homotopy invariance, Liouville's det = exp(2 pi i tr A_01) once around
@@ -294,22 +283,24 @@ def kz_transport() -> CheckResult:
     import cmath
     import math
 
-    from .kz import kz_system, parallel_transport
+    from .kz import kz_system, max_difference, parallel_transport
+    from .linalg import identity
     system = kz_system(2, (1, 1, 2))
+    one = identity(system.dim)
     bad = []
 
     loop = [(2, 0, -2), (2 + 1j, 0, -2), (3 + 1j, 0, -2), (3, 0, -2), (2, 0, -2)]
     res = parallel_transport(system, loop, steps=TRANSPORT_STEPS,
                              tolerance=TRANSPORT_TOLERANCE)
-    dev = _identity_deviation(res.matrix)
+    dev = max_difference(res.matrix, one)
     if dev > TRANSPORT_TOLERANCE or not res.converged:
         bad.append({"name": "contractible-loop", "deviation": dev,
                     "steps": res.steps, "converged": res.converged})
 
     upper = [(2, 0, -2), (2 + 1j, 0, -2), (4 + 1j, 0, -2), (4, 0, -2)]
     lower = [(2, 0, -2), (2 - 1j, 0, -2), (4 - 1j, 0, -2), (4, 0, -2)]
-    diff = _max_diff(parallel_transport(system, upper, steps=TRANSPORT_STEPS).matrix,
-                     parallel_transport(system, lower, steps=TRANSPORT_STEPS).matrix)
+    diff = max_difference(parallel_transport(system, upper, steps=TRANSPORT_STEPS).matrix,
+                          parallel_transport(system, lower, steps=TRANSPORT_STEPS).matrix)
     if diff > TRANSPORT_TOLERANCE:
         bad.append({"name": "homotopic-paths", "difference": diff})
 
@@ -317,7 +308,7 @@ def kz_transport() -> CheckResult:
               (2 - 3j, 0, -2), (2, 0, -2)]
     # res is the contractible loop at the same steps; the tolerance sets only `converged`
     encircling = parallel_transport(system, around, steps=TRANSPORT_STEPS)
-    monodromy = _max_diff(encircling.matrix, res.matrix)
+    monodromy = max_difference(encircling.matrix, res.matrix)
     if monodromy < 1e-3:
         bad.append({"name": "encircling-loop", "difference": monodromy})
 
@@ -332,7 +323,7 @@ def kz_transport() -> CheckResult:
     # the rounding floor where halving ratios are noise
     tight = [(0.3, 0, -2), (0.3 + 0.6j, 0, -2), (0.9 + 0.6j, 0, -2),
              (0.9, 0, -2), (0.3, 0, -2)]
-    devs = [_identity_deviation(parallel_transport(system, tight, steps=s).matrix)
+    devs = [max_difference(parallel_transport(system, tight, steps=s).matrix, one)
             for s in (100, 200, 400)]
     orders = [math.log2(devs[i] / devs[i + 1]) for i in range(2)]
     if min(orders) < 3.5:

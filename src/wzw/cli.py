@@ -153,28 +153,21 @@ def _cmd_oracle(args):
                          propagation_check, three_point_ranks)
     reads = {} if args.problem == "three-point" else {"points": ""}
     flags = _read_flags(args, f"oracle {args.problem}", reads, ("points",))
+    marks = _parse_ints(args.labels)
     if args.problem == "three-point":
-        marks = _parse_ints(args.labels)
         if len(marks) != 3:
             raise InputError(f"three-point needs exactly 3 labels, got {len(marks)}")
         rank, classical = three_point_ranks(args.level, *marks)
         payload = {"rank": rank, "classical_rank": classical}
     elif args.problem == "npoint":
-        marks = _parse_ints(args.labels)
         points = _parse_points(flags["points"])
         rank, classical = npoint_block_ranks(
             CoinvariantProblem(args.level, marks, points))
         payload = {"rank": rank, "classical_rank": classical}
     else:
-        marks = _parse_ints(args.labels)
         points = _parse_points(flags["points"])
         payload = {"preserved": propagation_check(args.level, marks, points)}
     return payload, list(payload.items()), 0
-
-
-def _frac_matrix(mat):
-    from fractions import Fraction
-    return [[str(Fraction(v)) for v in row] for row in mat]
 
 
 def _kz_system(args):
@@ -191,8 +184,8 @@ def _cmd_kz_matrices(args):
     if system.truncated and not flatness_check(system):
         raise InputError(f"level truncation is not supported for labels {system.labels} "
                          f"at level {system.level}: the truncated connection is not flat")
-    matrices = [{"i": i, "j": j, "entries": _frac_matrix(system.a_matrices[(i, j)])}
-                for (i, j) in sorted(system.a_matrices)]
+    matrices = [{"i": i, "j": j, "entries": [[str(v) for v in row] for row in mat]}
+                for (i, j), mat in sorted(system.a_matrices.items())]
     payload = {"algebra": args.algebra, "level": args.level,
                "labels": list(system.labels), "dim": system.dim,
                "classical_dim": system.classical_dim,
@@ -207,8 +200,10 @@ def _cmd_kz_matrices(args):
     return payload, rows, 0
 
 
-def _load_path(filename: str, n: int) -> list:
-    import cmath
+def _load_path(filename: str) -> list:
+    """The configurations of a path file as tuples of complex, the first repeated
+    at the end when "closed"; `kz.parallel_transport` checks their lengths and
+    finiteness."""
     import json
     try:
         with open(filename, encoding="utf-8") as fh:
@@ -222,16 +217,13 @@ def _load_path(filename: str, n: int) -> list:
         raise InputError('path file needs "points": a list of configurations')
     waypoints = []
     for config in pts:
-        if not isinstance(config, list) or len(config) != n:
-            raise InputError(f"each configuration needs {n} [re,im] pairs")
         try:
-            if any(isinstance(c, bool) for pair in config for c in pair):
+            if (not isinstance(config, list)
+                    or any(isinstance(c, bool) for pair in config for c in pair)):
                 raise TypeError
             waypoints.append(tuple(complex(x, y) for x, y in config))
         except (TypeError, ValueError, OverflowError):  # an int too large for a float
             raise InputError("points must be [re,im] number pairs") from None
-        if not all(cmath.isfinite(z) for z in waypoints[-1]):
-            raise InputError("path coordinates must be finite numbers")
     if not isinstance(data.get("closed", False), bool):
         raise InputError('"closed" must be true or false')
     if data.get("closed"):
@@ -242,7 +234,7 @@ def _load_path(filename: str, n: int) -> list:
 def _cmd_kz_transport(args, path, steps, tolerance):
     from .kz import parallel_transport
     system = _kz_system(args)
-    waypoints = _load_path(path, system.n)
+    waypoints = _load_path(path)
     res = parallel_transport(system, waypoints, steps=steps, tolerance=tolerance)
     payload = {"matrix": [[[v.real, v.imag] for v in row] for row in res.matrix],
                "steps": res.steps, "path": res.path,

@@ -55,7 +55,8 @@ from .linalg import IntSpan, identity, invert, mat_mul, transpose
 # ---------------------------------------------------------------------------
 # current algebras and their induced modules
 
-class CurrentAlgebra:
+class CurrentAlgebra(namedtuple("CurrentAlgebra", "gen_names bracket form dual_pairs "
+                                                   "dual_coxeter irrep")):
     """A Lie algebra with an invariant form, as the Sugawara construction reads it.
 
     Generators are indexed by position in `gen_names`.  `bracket[(a, b)]`
@@ -67,19 +68,8 @@ class CurrentAlgebra:
     equal only to itself, so it keys the `induced_module` cache by identity.
     """
 
-    __slots__ = ("gen_names", "bracket", "form", "dual_pairs", "dual_coxeter", "irrep")
-
-    def __init__(self, gen_names: tuple, bracket: dict, form: dict,
-                 dual_pairs: tuple, dual_coxeter: int, irrep):
-        values = (gen_names, bracket, form, dual_pairs, dual_coxeter, irrep)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 def _sl2_irrep(mu: int) -> tuple:

@@ -27,35 +27,24 @@ from .liealg import (RootSystem, Weight, dominant_with_sign, dual_weight,
 from .linalg import mat_mul
 
 
-class FusionAlphabet:
+class FusionAlphabet(namedtuple("FusionAlphabet", "rs level labels dual weyl_dims positions")):
     """The labels of one (algebra, level); `dual[i]` is the position of labels[i]*
     and `weyl_dims[i]` the dimension of V_labels[i].
 
-    Read-only.  `_pos` maps a label to its position.  `alphabet` builds one
-    instance per (rs, level), so equality is identity, and the fusion rows are
-    memoized per instance by `_truncated_product`.
+    Read-only.  `positions` maps a label to its position.  `alphabet` builds
+    one instance per (rs, level), so equality is identity, and the fusion rows
+    are memoized per instance by `_truncated_product`.
     """
 
-    __slots__ = ("rs", "level", "labels", "dual", "weyl_dims", "_pos")
-
-    def __init__(self, rs: RootSystem, level: int, labels: tuple[Weight, ...],
-                 dual: tuple[int, ...], weyl_dims: tuple[int, ...], _pos: dict):
-        values = (rs, level, labels, dual, weyl_dims, _pos)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     def __contains__(self, mu) -> bool:
-        return tuple(mu) in self._pos
+        return tuple(mu) in self.positions
 
     def index(self, mu) -> int:
         try:
-            return self._pos[tuple(mu)]
+            return self.positions[tuple(mu)]
         except KeyError:
             raise InputError(f"label {tuple(mu)} is not in the level-{self.level} "
                              f"alphabet of {self.rs.name}") from None
@@ -86,7 +75,7 @@ def alphabet(rs: RootSystem, level: int) -> FusionAlphabet:
             raise InternalError(f"alphabet of {rs.name} level {level} not dual-closed at {mu}")
         dual.append(pos[star])
     return FusionAlphabet(rs=rs, level=level, labels=tuple(labels), dual=tuple(dual),
-                          weyl_dims=tuple(weyl_dim(rs, mu) for mu in labels), _pos=pos)
+                          weyl_dims=tuple(weyl_dim(rs, mu) for mu in labels), positions=pos)
 
 
 @lru_cache(maxsize=None)
@@ -131,10 +120,10 @@ def _truncated_product(alph: FusionAlphabet, i: int, j: int) -> tuple[int, ...]:
         raise InternalError(f"negative fusion multiplicity in {lam} x {mu} at level {level}")
     counts = [0] * len(alph.labels)
     for sigma, m in out.items():
-        if sigma not in alph._pos:
+        if sigma not in alph.positions:
             raise InternalError(f"fusion axiom 'closure' violated: {lam} x {mu} "
                                 f"contains {sigma} outside the alphabet")
-        counts[alph.dual[alph._pos[sigma]]] = m
+        counts[alph.dual[alph.positions[sigma]]] = m
     return tuple(counts)
 
 

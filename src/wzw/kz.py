@@ -94,16 +94,6 @@ class _TensorOps:
         return vec
 
 
-def _validate_labels(labels) -> tuple:
-    labels = tuple(labels)
-    if len(labels) < 2:
-        raise InputError(f"need at least 2 marked points, got {len(labels)}")
-    for m in labels:
-        if not isinstance(m, int) or m < 0:
-            raise InputError(f"label {m!r} is not a nonnegative integer")
-    return labels
-
-
 class KZSystem(namedtuple("KZSystem", "level labels dim classical_dim a_matrices "
                                        "truncated base_point")):
     """Exact KZ data on the block quotient of a labeled configuration.
@@ -120,7 +110,12 @@ class KZSystem(namedtuple("KZSystem", "level labels dim classical_dim a_matrices
 
 def kz_system(level: int, labels) -> KZSystem:
     """Connection matrices A_ij = -c^(ij)/(l+2) on the block quotient."""
-    labels = _validate_labels(labels)
+    labels = tuple(labels)
+    if len(labels) < 2:
+        raise InputError(f"need at least 2 marked points, got {len(labels)}")
+    for m in labels:
+        if not isinstance(m, int) or m < 0:
+            raise InputError(f"label {m!r} is not a nonnegative integer")
     if not isinstance(level, int) or level < 0:
         raise InputError(f"level must be a nonnegative integer, got {level!r}")
     for m in labels:
@@ -249,7 +244,7 @@ def _det(m: list) -> complex:
 
 
 def _segment_guard(p, q):
-    """Reject a segment of complex tuples p, q that meets a diagonal z_i = z_j or overflows."""
+    """Reject a segment of complex tuples p, q that meets a diagonal z_i = z_j or is not finite."""
     n = len(p)
     for i in range(n):
         for j in range(i + 1, n):
@@ -267,8 +262,8 @@ def _segment_guard(p, q):
                     t = max(0.0, min(1.0, -(u * du.conjugate()).real / abs(du) ** 2))
                     dist = abs(u + t * du)
             except OverflowError:
-                raise InputError(f"path coordinates too large for floating point: "
-                                 f"z_{i} - z_{j} overflows") from None
+                raise InputError(f"path coordinates must be finite numbers whose differences "
+                                 f"fit a float: z_{i} - z_{j} does not") from None
             if dist < 1e-12 * scale:
                 raise InputError(f"path touches the diagonal z_{i} = z_{j}")
 
@@ -384,6 +379,11 @@ def _transport_fixed(system: KZSystem, waypoints, per_seg: int) -> tuple:
     return [list(row) for row in zip(*full)], [list(row) for row in zip(*half)]
 
 
+def max_difference(a: list, b: list) -> float:
+    """The largest |a_ij - b_ij| over two matrices of one shape, 0.0 when they are empty."""
+    return max((abs(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)), default=0.0)
+
+
 def parallel_transport(system: KZSystem, path, steps: int,
                        tolerance: float = 1e-6) -> TransportResult:
     """RK4 holonomy along a piecewise-linear path (list of configurations).
@@ -412,8 +412,7 @@ def parallel_transport(system: KZSystem, path, steps: int,
     segs = len(waypoints) - 1
     per_seg = max(2, 2 * ((steps + 2 * segs - 1) // (2 * segs))) if segs else 0
     full, half = _transport_fixed(system, waypoints, per_seg)
-    err = max((abs(a - b) for ra, rb in zip(full, half) for a, b in zip(ra, rb)),
-              default=0.0)
+    err = max_difference(full, half)
     desc = f"{len(waypoints)} waypoints, {segs} segments"
     return TransportResult(matrix=full, steps=per_seg * segs, path=desc,
                            error_estimate=err, converged=err < tolerance)

@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import lcm
 
 from .errors import InputError
 from .linalg import IntSpan, strides
@@ -126,10 +126,8 @@ def npoint_block_ranks(problem: CoinvariantProblem) -> tuple[int, int]:
                          + ",".join(str(p) for p in z))
     # (D T)^{1+l} = D^{1+l} T^{1+l} spans the same rows, so scaling the points
     # by the lcm D of their denominators keeps every coefficient an integer
-    lcm = 1
-    for p in z:
-        lcm = lcm // gcd(lcm, p.denominator) * p.denominator
-    zint = tuple(int(p * lcm) for p in z)
+    scale = lcm(*(p.denominator for p in z))
+    zint = tuple(int(p * scale) for p in z)
 
     spaces, stride, span = _classical_span(labels)
     zero = len(spaces.get(0, ()))

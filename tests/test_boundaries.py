@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import wzw
-from wzw.fock import SL2, gluing_tensor, induced_module, integrable_quotient
+from wzw.fock import SL2, CurrentAlgebra, gluing_tensor, induced_module, integrable_quotient
 from wzw.fusion import alphabet, fusion_table
 from wzw.kz import TransportResult, kz_system
 from wzw.liealg import root_system, sl2_irrep_matrices
@@ -176,6 +176,25 @@ def test_value_type_rejects_attribute_assignment(name):
             setattr(instance, attr, None)
     with pytest.raises(AttributeError):
         delattr(instance, field)
+
+
+def test_records_that_key_caches_are_equal_only_to_themselves():
+    # alphabet() and induced_module() cache on these, so equal fields must not make
+    # two instances equal, and hashing must not reach their dict fields
+    for fresh, shared in ((alphabet.__wrapped__(A1, 1), alphabet(A1, 1)),
+                          (CurrentAlgebra(*SL2), SL2)):
+        assert fresh != shared and not fresh == shared and fresh == fresh
+        assert isinstance(hash(fresh), int) and isinstance(hash(shared), int)
+
+
+def test_no_class_defines_its_own_attribute_guards():
+    # a read-only type is a namedtuple subclass with __slots__ = (), not a
+    # class that hand-rolls __setattr__ and __delattr__
+    guarded = [f"{module}.{node.name}.{item.name}" for module in MODULES
+               for node in ast.walk(_tree(module)) if isinstance(node, ast.ClassDef)
+               for item in node.body if isinstance(item, ast.FunctionDef)
+               and item.name in ("__setattr__", "__delattr__")]
+    assert guarded == []
 
 
 # entry points that only the interpreter calls

@@ -152,6 +152,16 @@ def test_kz_transport_rejects_a_boolean_coordinate(tmp_path):
     assert "number pairs" in out.stderr
 
 
+def test_kz_transport_rejects_a_configuration_of_the_wrong_length(tmp_path):
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"points": [[[2, 0], [0, 0], [-2, 0]], [[2, 1], [0, 0]]]}))
+    out = run_cli("kz", "transport", "--level", "2", "--labels", "1,1,2",
+                  "--path", str(path), "--steps", "200")
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr == "error: configuration has 2 points, expected 3\n"
+
+
 def test_kz_transport_rejects_a_closed_flag_that_is_not_a_boolean(tmp_path):
     path = tmp_path / "path.json"
     path.write_text(json.dumps({"points": [[[2, 0], [0, 0], [-2, 0]],

@@ -347,6 +347,9 @@ def test_transport_rejects_bad_paths():
     # a lone configuration is guarded as the zero-length segment to itself
     with pytest.raises(InputError, match="touches the diagonal z_0 = z_1"):
         parallel_transport(system, [(1, 1, -2)], steps=1000)
+    # a non-finite coordinate makes a difference non-finite, and the message says so
+    with pytest.raises(InputError, match="finite"):
+        parallel_transport(system, [(2, 0, -2), (math.nan, 0, -2)], steps=1000)
     with pytest.raises(InputError):
         parallel_transport(system, [(2, 0, -2), (3, 0, -2)], steps=50)
     with pytest.raises(InputError):
