@@ -48,8 +48,7 @@ from math import gcd, lcm
 from types import MappingProxyType
 
 from .errors import InputError, InternalError
-from .liealg import sl2_irrep_matrices
-from .linalg import IntSpan, identity, invert, mat_mul, transpose
+from .linalg import IntSpan, identity, invert, mat_mul, sl2_irrep_matrices, transpose
 
 
 # ---------------------------------------------------------------------------

@@ -33,11 +33,22 @@ class FusionAlphabet(namedtuple("FusionAlphabet", "rs level labels dual weyl_dim
 
     Read-only.  `positions` maps a label to its position.  `alphabet` builds
     one instance per (rs, level), so equality is identity, and the fusion rows
-    are memoized per instance by `_truncated_product`.
+    are memoized per instance by `_truncated_product`.  It is not a sequence:
+    len, iteration, indexing, count, ordering and concatenation would read
+    the six fields, not the labels, so they raise TypeError.
     """
 
     __slots__ = ()
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+
+    def _not_a_sequence(self, *args):
+        raise TypeError("a FusionAlphabet is not a sequence; its labels are .labels")
+
+    __len__ = __iter__ = __getitem__ = count = _not_a_sequence
+    __lt__ = __le__ = __gt__ = __ge__ = __add__ = __mul__ = __rmul__ = _not_a_sequence
+
+    def __bool__(self) -> bool:
+        return True
 
     def __contains__(self, mu) -> bool:
         return tuple(mu) in self.positions

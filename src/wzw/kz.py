@@ -19,14 +19,21 @@ twice the full one bit for bit, so both runs share each evaluation of the
 connection form (3617 on a 1600-step segment; two separate runs took 7200).
 A segment reads only the zero pattern of its moving pairs, the union of the
 nonzero entries of their A_ij (7 of 9 entries on the benchmark's l=4 loop).
-The form, per (pattern, each pair's nonzero entries), sums each pair over its
-nonzero entries only; the step, per (block dimension, pattern), writes out
-one column's matrix-vector products over the pattern only, O(dim^2) source.
-Only integers reach either source.  Skipping the other terms is exact: each
-is c*0j or 0j*y with c and y finite, which is (+-0, +-0), and a sum started
-at 0 or 0j never holds -0.0 under round-to-nearest, so adding one changes no
-bit.  The two can differ only where the full sums give a non-finite
-holonomy, and `TransportResult` refuses every non-finite holonomy.
+The form, per (pattern, each pair's nonzero entries), takes t and sums each
+pair over its nonzero entries only; the step, per (block dimension,
+pattern), writes out one column's matrix-vector products over the pattern
+only, O(dim^2) source, each row sum started from its first product.
+Only integers reach either source.  Skipping the other terms and the 0
+seed is exact.  A skipped term is c*0j or 0j*y with c and y finite, which
+is (+-0, +-0), so a row sum here may end in -0.0 where the seeded full sum
+ends in +0.0, and is otherwise the same; finite products and sums of such
+values differ at most in the sign of a zero too.  They reach the holonomy
+columns y and the RK4 stages u only as y + x, and y and u never hold -0.0:
+each starts from 1.0 or +0.0 and is a sum y + x, which is -0.0 only when
+both terms are.  So y + x is the same bit for bit, and neither the missing
+seed nor a skipped pattern term changes a bit of the holonomy.  The two can
+differ only where the full sums give a non-finite holonomy, and
+`TransportResult` refuses every non-finite holonomy.
 """
 
 from __future__ import annotations
@@ -38,8 +45,8 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from .errors import InputError
-from .liealg import casimir_eigenvalue, root_system, sl2_irrep_matrices
-from .linalg import IntSpan, commutator, identity, is_zero, mat_sub, strides, transpose
+from .linalg import (IntSpan, commutator, identity, is_zero, mat_sub, sl2_irrep_matrices,
+                     strides, transpose)
 
 
 class _TensorOps:
@@ -179,6 +186,8 @@ def residue_check(system: KZSystem) -> bool:
     g acts as zero on the block, so there sum_{j != i} c^(ij) acts as minus
     the Casimir of slot i, whose eigenvalue on V_lambda_i is c(lambda_i).
     """
+    from .liealg import casimir_eigenvalue, root_system
+
     rs = root_system("A1")
     for i, m in enumerate(system.labels):
         want = casimir_eigenvalue(rs, (m,)) / (system.level + 2)
@@ -272,18 +281,20 @@ def _segment_guard(p, q):
 def _connection_form(pattern: tuple, supports: tuple):
     """The form sum_ij c_ij A_ij on its zero pattern, generated from the flat entry indices.
 
-    form(z, pairs) reads the (i, j, dz_i - dz_j, values) of the moving pairs in
-    `a_matrices` order, values being A_ij's nonzero entries at the flat indices
-    supports[p], and returns the form's entries at the indices in `pattern`,
-    the union of the supports.  Each entry is summed from 0j in pair order,
-    over the pairs nonzero there, skipping a pair whose
-    c_ij = (dz_i - dz_j)/(z_i - z_j) is 0.
+    form(t, pairs) reads the (p_i, dz_i, p_j, dz_j, dz_i - dz_j, values) of
+    the moving pairs in `a_matrices` order, values being A_ij's nonzero
+    entries at the flat indices supports[p], and returns the form's entries
+    at the indices in `pattern`, the union of the supports, on the segment
+    z = p + t dz.  Each pair's z_i - z_j is (p_i + t dz_i) - (p_j + t dz_j),
+    and each entry is summed from 0j in pair order, over the pairs nonzero
+    there, skipping a pair whose c_ij = (dz_i - dz_j)/(z_i - z_j) is 0.
     """
     entries = "".join(f"e{e}, " for e in pattern)
-    src = ["def form(z, pairs):", f"    [{entries}] = [0j] * {len(pattern)}",
-           f"    [{', '.join(f'(i{p}, j{p}, d{p}, m{p})' for p in range(len(supports)))}] = pairs"]
+    unpack = ", ".join(f"(p{p}, dp{p}, q{p}, dq{p}, d{p}, m{p})" for p in range(len(supports)))
+    src = ["def form(t, pairs):", f"    [{entries}] = [0j] * {len(pattern)}",
+           f"    [{unpack}] = pairs"]
     for p, support in enumerate(supports):
-        src += [f"    c = d{p} / (z[i{p}] - z[j{p}])", "    if c:",
+        src += [f"    c = d{p} / ((p{p} + t * dp{p}) - (q{p} + t * dq{p}))", "    if c:",
                 f"        [{''.join(f'v{e}, ' for e in support)}] = m{p}"]
         src += [f"        e{e} += c * v{e}" for e in support]
     src.append(f"    return ({entries})")
@@ -301,8 +312,11 @@ def _rk4_step(dim: int, pattern: tuple):
     t0, t0 + h/2 and t0 + h, each given at the flat indices r * dim + c in
     `pattern`, and returns the stepped columns.  The equation is linear, so
     the source writes out one column's matrix-vector products, O(dim^2)
-    characters, each entry the float expression 0 + o[r,c]*y(c) + ... over
-    the c with (r, c) in the pattern, in increasing c; a row with none is 0j.
+    characters, each entry the float expression o[r,c]*y(c) + ... over the c
+    with (r, c) in the pattern, in increasing c, with no 0 seed; a row with
+    none is 0j.  A row sum may so end in -0.0, but each enters the columns
+    and stages only as y + h * k, and those never hold -0.0 (module
+    docstring), so the step is bit for bit the seeded full sum's.
     """
     idx = range(dim)
     row_cols = [[e % dim for e in pattern if e // dim == r] for r in idx]
@@ -311,7 +325,7 @@ def _rk4_step(dim: int, pattern: tuple):
         return ", ".join(fmt.format(r) for r in idx) + ","
 
     def products(k, o, y):
-        return [f"        {k}{r} = " + (" + ".join(["0"] + [f"{o}{r}_{c} * {y}{c}" for c in cols])
+        return [f"        {k}{r} = " + (" + ".join(f"{o}{r}_{c} * {y}{c}" for c in cols)
                                         if cols else "0j")
                 for r, cols in enumerate(row_cols)]
 
@@ -337,10 +351,11 @@ def _transport_fixed(system: KZSystem, waypoints, per_seg: int) -> tuple:
 
     The two runs go in lockstep: two full steps, then one halved step.  The
     halved step H = 1/(per_seg // 2) is 2h bit for bit, so both runs read the
-    form at the same floats t.  The segment's `_connection_form` evaluates
-    each once, keyed by t, dropped once t falls behind the halved run.  The
-    holonomies are stepped as columns by `_rk4_step(dim, pattern)`, returned
-    as rows; the pattern is the union of the moving pairs' nonzero entries.
+    form at the same floats t.  The segment's `_connection_form` is evaluated
+    once per t, on a miss in the segment's cache keyed by t, whose entries
+    are dropped once t falls behind the halved run.  The holonomies are
+    stepped as columns by `_rk4_step(dim, pattern)`, returned as rows; the
+    pattern is the union of the moving pairs' nonzero entries.
     """
     dim = system.dim
     if not dim:
@@ -352,30 +367,31 @@ def _transport_fixed(system: KZSystem, waypoints, per_seg: int) -> tuple:
         support = tuple(e for e, v in enumerate(flat) if v)
         mats[key] = support, tuple(flat[e] for e in support)
 
-    def form(t):
-        if t not in forms:
-            forms[t] = omega([a + t * d for a, d in zip(p, dz)], pairs)
-        return forms[t]
-
     full = half = [tuple(1.0 + 0j if r == c else 0j for r in range(dim)) for c in range(dim)]
     for p, q in zip(waypoints, waypoints[1:]):
         dz = [b - a for a, b in zip(p, q)]
         if all(abs(d) == 0 for d in dz):
             continue
-        pairs = [(i, j, dz[i] - dz[j], values) for (i, j), (support, values) in mats.items()
-                 if support and dz[i] - dz[j]]
-        supports = tuple(mats[i, j][0] for i, j, _, _ in pairs)
+        moving = [(i, j) for (i, j), (support, _) in mats.items() if support and dz[i] - dz[j]]
+        pairs = [(p[i], dz[i], p[j], dz[j], dz[i] - dz[j], mats[i, j][1]) for i, j in moving]
+        supports = tuple(mats[i, j][0] for i, j in moving)
         pattern = tuple(sorted(set().union(*supports)))
         omega = _connection_form(pattern, supports)
         step = _rk4_step(dim, pattern)
         forms = {}
         h, big_h = 1.0 / per_seg, 1.0 / (per_seg // 2)
         for k in range(per_seg // 2):
-            for t0 in (2 * k * h, (2 * k + 1) * h):
-                full = step(full, form(t0), form(t0 + h / 2), form(t0 + h), h)
-            t0 = k * big_h
-            half = step(half, form(t0), form(t0 + big_h / 2), form(t0 + big_h), big_h)
-            forms = {t: om for t, om in forms.items() if t >= (k + 1) * big_h}
+            t0, t1, big_t = 2 * k * h, (2 * k + 1) * h, k * big_h
+            om = []
+            for t in (t0, t0 + h / 2, t0 + h, t1, t1 + h / 2, t1 + h,
+                      big_t, big_t + big_h / 2, big_t + big_h):
+                o = forms.get(t)
+                if o is None:
+                    o = forms[t] = omega(t, pairs)
+                om.append(o)
+            full = step(step(full, om[0], om[1], om[2], h), om[3], om[4], om[5], h)
+            half = step(half, om[6], om[7], om[8], big_h)
+            forms = {t: o for t, o in forms.items() if t >= (k + 1) * big_h}
     return [list(row) for row in zip(*full)], [list(row) for row in zip(*half)]
 
 

@@ -31,7 +31,7 @@ from math import lcm
 from types import MappingProxyType
 
 from .errors import InputError, InternalError
-from .linalg import commutator, identity, invert, is_zero, mat_mul
+from .linalg import invert
 
 Weight = tuple[int, ...]
 
@@ -331,39 +331,3 @@ def weight_multiplicities(rs: RootSystem, mu) -> MappingProxyType:
     if total != weyl_dim(rs, mu):
         raise InternalError(f"weight diagram of {mu} sums to {total}, not weyl_dim")
     return MappingProxyType(out)
-
-
-# ---------------------------------------------------------------------------
-# explicit sl2 irreps
-
-class RepMatrices(namedtuple("RepMatrices", "E F H")):
-    """Weight-basis matrices of the (m+1)-dimensional sl2 irrep, as int tuples."""
-
-    __slots__ = ()
-
-
-@lru_cache(maxsize=None)
-def sl2_irrep_matrices(m: int) -> RepMatrices:
-    """E, F, H on the basis v_0 (highest) .. v_m, with F v_j = v_{j+1}; checked once per m."""
-    if not isinstance(m, int) or m < 0:
-        raise InputError(f"sl2 label must be a nonnegative integer, got {m!r}")
-    n = m + 1
-    E = tuple(tuple(j * (m - j + 1) if i == j - 1 else 0 for j in range(n))
-              for i in range(n))
-    F = tuple(tuple(1 if i == j + 1 else 0 for j in range(n)) for i in range(n))
-    H = tuple(tuple(m - 2 * j if i == j else 0 for j in range(n)) for i in range(n))
-
-    if commutator(H, E) != [[2 * x for x in r] for r in E]:
-        raise InternalError(f"[H,E] != 2E for m={m}")
-    if commutator(H, F) != [[-2 * x for x in r] for r in F]:
-        raise InternalError(f"[H,F] != -2F for m={m}")
-    if commutator(E, F) != [list(r) for r in H]:
-        raise InternalError(f"[E,F] != H for m={m}")
-    power = identity(n)
-    for _ in range(m):
-        power = mat_mul(power, E)
-    if m > 0 and is_zero(power):
-        raise InternalError(f"E^m vanished for m={m}")
-    if not is_zero(mat_mul(power, E)):
-        raise InternalError(f"E^(m+1) nonzero for m={m}")
-    return RepMatrices(E=E, F=F, H=H)

@@ -4,10 +4,11 @@ Every dense exact matrix product, transpose and inverse in the package goes
 through here.  Two layers:
 
 * dense exact matrices (lists of lists of ``int`` or ``Fraction``):
-  products, commutators, transposes and the inverse for the Cartan data and
-  the sl2 irreps (liealg), the fusion matrices (fusion), the KZ connection
-  (kz) and the quotient pairing and gluing tensor (fock).
-  A product of integer matrices stays integer;
+  products, commutators, transposes and the inverse for the Cartan data
+  (liealg), the fusion matrices (fusion), the KZ connection (kz) and the
+  quotient pairing and gluing tensor (fock).  A product of integer matrices
+  stays integer.  The sl2 irreps, the one representation kz and fock
+  read, are built here too, their relations checked with these products;
 * ``IntSpan``, an incremental fraction-free row-space accumulator over the
   integers, used for the large sparse rank computations in the oracle, kz and
   fock.  Rows are combined by integer cross-multiplication; the working row
@@ -20,8 +21,12 @@ tensor product V_1 (x) ... (x) V_n into one basis index.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
+
+from .errors import InputError, InternalError
 
 Mat = list[list[int | Fraction]]
 
@@ -90,6 +95,41 @@ def strides(dims) -> list[int]:
     for i in range(len(dims) - 2, -1, -1):
         out[i] = out[i + 1] * dims[i + 1]
     return out
+
+
+# explicit sl2 irreps, their relations checked with the products above
+
+class RepMatrices(namedtuple("RepMatrices", "E F H")):
+    """Weight-basis matrices of the (m+1)-dimensional sl2 irrep, as int tuples."""
+
+    __slots__ = ()
+
+
+@lru_cache(maxsize=None)
+def sl2_irrep_matrices(m: int) -> RepMatrices:
+    """E, F, H on the basis v_0 (highest) .. v_m, with F v_j = v_{j+1}; checked once per m."""
+    if not isinstance(m, int) or m < 0:
+        raise InputError(f"sl2 label must be a nonnegative integer, got {m!r}")
+    n = m + 1
+    E = tuple(tuple(j * (m - j + 1) if i == j - 1 else 0 for j in range(n))
+              for i in range(n))
+    F = tuple(tuple(1 if i == j + 1 else 0 for j in range(n)) for i in range(n))
+    H = tuple(tuple(m - 2 * j if i == j else 0 for j in range(n)) for i in range(n))
+
+    if commutator(H, E) != [[2 * x for x in r] for r in E]:
+        raise InternalError(f"[H,E] != 2E for m={m}")
+    if commutator(H, F) != [[-2 * x for x in r] for r in F]:
+        raise InternalError(f"[H,F] != -2F for m={m}")
+    if commutator(E, F) != [list(r) for r in H]:
+        raise InternalError(f"[E,F] != H for m={m}")
+    power = identity(n)
+    for _ in range(m):
+        power = mat_mul(power, E)
+    if m > 0 and is_zero(power):
+        raise InternalError(f"E^m vanished for m={m}")
+    if not is_zero(mat_mul(power, E)):
+        raise InternalError(f"E^(m+1) nonzero for m={m}")
+    return RepMatrices(E=E, F=F, H=H)
 
 
 def _gcd_normalize(row: dict[int, int]) -> dict[int, int]:

@@ -19,7 +19,8 @@ import wzw
 from wzw.fock import SL2, CurrentAlgebra, gluing_tensor, induced_module, integrable_quotient
 from wzw.fusion import alphabet, fusion_table
 from wzw.kz import TransportResult, kz_system
-from wzw.liealg import root_system, sl2_irrep_matrices
+from wzw.liealg import root_system
+from wzw.linalg import sl2_irrep_matrices
 from wzw.oracle import CoinvariantProblem
 from wzw.surface import MarkedSurface, TwistEigenvalue, canonical_graph
 
@@ -109,7 +110,7 @@ def test_building_the_parser_loads_no_layer():
 
 START = ["wzw", "cli", "errors"]
 FUSION = START + ["fusion", "liealg", "linalg"]
-KZ = START + ["kz", "liealg", "linalg"]
+KZ = START + ["kz", "linalg"]
 CHECKS = START + ["checks", "linalg"]
 LOOP = {"points": [[[2, 0], [0, 0], [-2, 0]], [[2, 1], [0, 0], [-2, 0]],
                    [[3, 1], [0, 0], [-2, 0]], [[3, 0], [0, 0], [-2, 0]]], "closed": True}
@@ -125,9 +126,11 @@ COMMAND_LAYERS = [
      START + ["linalg", "oracle"]),
     (("kz", "matrices", "--level", "2", "--labels", "1,1,2", "--format", "tsv"), KZ),
     (("kz", "transport", "--level", "2", "--labels", "1,1,2", "--steps", "200"), KZ),
-    (("verify", "virasoro", "--kmax", "1", "--degree", "4"), CHECKS + ["fock", "liealg"]),
-    (("verify", "sugawara", "--level", "1", "--label", "0", "--degree", "2"),
-     CHECKS + ["fock", "liealg"]),
+    (("verify", "virasoro", "--kmax", "1", "--degree", "4"), CHECKS + ["fock"]),
+    (("verify", "sugawara", "--level", "1", "--label", "0", "--degree", "2"), CHECKS + ["fock"]),
+    (("verify", "gluing-recursion"), CHECKS + ["fock"]),
+    # liealg only through kz.residue_check, for the Casimir eigenvalues
+    (("verify", "kz-flatness"), CHECKS + ["kz", "liealg"]),
     (("verify", "fusion-axioms"), CHECKS + ["fusion", "liealg"]),
     (("verify", "block-dimensions"), CHECKS + ["fusion", "liealg", "surface"]),
     (("verify", "oracle-equivalence"), CHECKS + ["fusion", "liealg", "oracle"]),

@@ -27,6 +27,22 @@ def test_alphabet_a1():
     assert (3,) in alph and (4,) not in alph
 
 
+def test_alphabet_is_not_a_sequence_of_its_fields():
+    # the record is a tuple of six fields underneath; nothing may read them as
+    # if they were the labels
+    alph = alphabet(build_root_system("A", 1), 1)
+    reads = [len, list, iter, tuple, sorted, lambda a: a.count(1), lambda a: a[0],
+             lambda a: a < a, lambda a: a >= a, lambda a: () < a, lambda a: a + a,
+             lambda a: 2 * a]
+    for read in reads:
+        with pytest.raises(TypeError):
+            read(alph)
+    assert alph and alph == alph and hash(alph) == hash(alph)
+    assert alph.level == 1 and alph.labels == ((0,), (1,)) and (1,) in alph
+    assert alph.index((1,)) == 1
+    assert repr(alph).startswith("FusionAlphabet(rs=RootSystem(A1), level=1, labels=((0,), (1,))")
+
+
 def test_fusion_rows_are_memoized_once_per_product():
     alph = alphabet(build_root_system("A", 2), 3)
     _truncated_product.cache_clear()

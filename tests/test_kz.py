@@ -14,8 +14,7 @@ from wzw import cli, kz
 from wzw.checks import KZ_LEVEL_MAX, KZ_NMAX
 from wzw.errors import InputError
 from wzw.kz import KZSystem, flatness_check, kz_system, parallel_transport, residue_check
-from wzw.liealg import sl2_irrep_matrices
-from wzw.linalg import IntSpan, strides
+from wzw.linalg import IntSpan, sl2_irrep_matrices, strides
 from wzw.oracle import CoinvariantProblem, npoint_block_ranks
 
 F = Fraction

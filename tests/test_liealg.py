@@ -12,7 +12,8 @@ from wzw.errors import InputError, InternalError
 from wzw.fusion import alphabet
 from wzw.liealg import (_root_system, build_root_system, casimir_eigenvalue,
                         dominant_with_sign, dual_weight, level_of, parse_algebra,
-                        sl2_irrep_matrices, weight_multiplicities, weyl_dim)
+                        weight_multiplicities, weyl_dim)
+from wzw.linalg import sl2_irrep_matrices
 
 ALL_SMALL = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3),
              ("D", 4), ("G", 2), ("F", 4), ("E", 6)]
