@@ -135,23 +135,24 @@ def _cmd_dehn(args):
     return payload, list(payload.items()), 0
 
 
-def _read_flags(args, name: str, reads: dict, optional) -> dict:
-    """The flags `name` reads, defaults filled in; any other of `optional` given is an error.
+def _read_flags(args, name: str, reads, optional) -> dict:
+    """The flags of `optional` given on the command line; one not in `reads` is an error.
 
     Each flag in `optional` defaults to None in the parser, so a flag given on
-    the command line is told apart from one left out.
+    the command line is told apart from one left out, which takes the default
+    of the code that reads it.
     """
-    for flag in optional:
-        if getattr(args, flag) is not None and flag not in reads:
+    given = {flag: getattr(args, flag) for flag in optional if getattr(args, flag) is not None}
+    for flag in given:
+        if flag not in reads:
             raise InputError(f"{name} does not read --{flag}")
-    return {flag: default if getattr(args, flag) is None else getattr(args, flag)
-            for flag, default in reads.items()}
+    return given
 
 
 def _cmd_oracle(args):
     from .oracle import (CoinvariantProblem, npoint_block_ranks,
                          propagation_check, three_point_ranks)
-    reads = {} if args.problem == "three-point" else {"points": ""}
+    reads = () if args.problem == "three-point" else ("points",)
     flags = _read_flags(args, f"oracle {args.problem}", reads, ("points",))
     marks = _parse_ints(args.labels)
     if args.problem == "three-point":
@@ -160,44 +161,14 @@ def _cmd_oracle(args):
         rank, classical = three_point_ranks(args.level, *marks)
         payload = {"rank": rank, "classical_rank": classical}
     elif args.problem == "npoint":
-        points = _parse_points(flags["points"])
+        points = _parse_points(flags.get("points", ""))
         rank, classical = npoint_block_ranks(
             CoinvariantProblem(args.level, marks, points))
         payload = {"rank": rank, "classical_rank": classical}
     else:
-        points = _parse_points(flags["points"])
+        points = _parse_points(flags.get("points", ""))
         payload = {"preserved": propagation_check(args.level, marks, points)}
     return payload, list(payload.items()), 0
-
-
-def _kz_system(args):
-    from .kz import kz_system
-    if args.algebra != "A1":
-        raise InputError(f"kz supports algebra A1 only, got {args.algebra!r}")
-    return kz_system(args.level, _parse_ints(args.labels))
-
-
-def _cmd_kz_matrices(args):
-    """The matrices of the system, refused when its level truncation is not flat."""
-    from .kz import flatness_check
-    system = _kz_system(args)
-    if system.truncated and not flatness_check(system):
-        raise InputError(f"level truncation is not supported for labels {system.labels} "
-                         f"at level {system.level}: the truncated connection is not flat")
-    matrices = [{"i": i, "j": j, "entries": [[str(v) for v in row] for row in mat]}
-                for (i, j), mat in sorted(system.a_matrices.items())]
-    payload = {"algebra": args.algebra, "level": args.level,
-               "labels": list(system.labels), "dim": system.dim,
-               "classical_dim": system.classical_dim,
-               "truncated": system.truncated,
-               "base_point": [str(z) for z in system.base_point],
-               "matrices": matrices}
-    rows = [("dim", system.dim), ("classical_dim", system.classical_dim),
-            ("truncated", system.truncated)]
-    for m in matrices:
-        rows.append((f"A({m['i']},{m['j']})",))
-        rows += [tuple(r) for r in m["entries"]]
-    return payload, rows, 0
 
 
 def _load_path(filename: str) -> list:
@@ -231,31 +202,42 @@ def _load_path(filename: str) -> list:
     return waypoints
 
 
-def _cmd_kz_transport(args, path, steps, tolerance):
-    from .kz import parallel_transport
-    system = _kz_system(args)
-    waypoints = _load_path(path)
-    res = parallel_transport(system, waypoints, steps=steps, tolerance=tolerance)
-    payload = {"matrix": [[[v.real, v.imag] for v in row] for row in res.matrix],
-               "steps": res.steps, "path": res.path,
-               "error_estimate": res.error_estimate, "converged": res.converged}
-    rows = [("steps", res.steps), ("error_estimate", res.error_estimate),
-            ("converged", res.converged)]
-    rows += [tuple(f"{v.real}{v.imag:+}j" for v in row) for row in res.matrix]
-    return payload, rows, 0
-
-
-# the flags each kz action reads beyond --algebra, --level and --labels
-_KZ_FLAGS = {"matrices": {},
-             "transport": {"path": None, "steps": 10000, "tolerance": 1e-6}}
-
-
 def _cmd_kz(args):
-    flags = _read_flags(args, f"kz {args.action}", _KZ_FLAGS[args.action],
-                        ("path", "steps", "tolerance"))
-    if args.action == "matrices":
-        return _cmd_kz_matrices(args)
-    return _cmd_kz_transport(args, **flags)
+    """`matrices`: the matrices of the system, refused when its level truncation
+    is not flat; `transport`: its holonomy along the --path file, with the
+    step and tolerance defaults of `kz.parallel_transport`."""
+    from .kz import flatness_check, kz_system, parallel_transport
+    reads = ("path", "steps", "tolerance") if args.action == "transport" else ()
+    flags = _read_flags(args, f"kz {args.action}", reads, ("path", "steps", "tolerance"))
+    if args.algebra != "A1":
+        raise InputError(f"kz supports algebra A1 only, got {args.algebra!r}")
+    system = kz_system(args.level, _parse_ints(args.labels))
+    if args.action == "transport":
+        res = parallel_transport(system, _load_path(flags.pop("path")), **flags)
+        payload = {"matrix": [[[v.real, v.imag] for v in row] for row in res.matrix],
+                   "steps": res.steps, "path": res.path,
+                   "error_estimate": res.error_estimate, "converged": res.converged}
+        rows = [("steps", res.steps), ("error_estimate", res.error_estimate),
+                ("converged", res.converged)]
+        rows += [tuple(f"{v.real}{v.imag:+}j" for v in row) for row in res.matrix]
+        return payload, rows, 0
+    if system.truncated and not flatness_check(system):
+        raise InputError(f"level truncation is not supported for labels {system.labels} "
+                         f"at level {system.level}: the truncated connection is not flat")
+    matrices = [{"i": i, "j": j, "entries": [[str(v) for v in row] for row in mat]}
+                for (i, j), mat in sorted(system.a_matrices.items())]
+    payload = {"algebra": args.algebra, "level": args.level,
+               "labels": list(system.labels), "dim": system.dim,
+               "classical_dim": system.classical_dim,
+               "truncated": system.truncated,
+               "base_point": [str(z) for z in system.base_point],
+               "matrices": matrices}
+    rows = [("dim", system.dim), ("classical_dim", system.classical_dim),
+            ("truncated", system.truncated)]
+    for m in matrices:
+        rows.append((f"A({m['i']},{m['j']})",))
+        rows += [tuple(r) for r in m["entries"]]
+    return payload, rows, 0
 
 
 def _cmd_verify(args):
@@ -265,8 +247,9 @@ def _cmd_verify(args):
     verify_flags = {"virasoro": {"kmax": VIRASORO_KMAX, "degree": VIRASORO_DEGREE},
                     "sugawara": {"algebra": "A1", "level": 1, "label": 1,
                                  "degree": SUGAWARA_DEGREE}}
-    flags = _read_flags(args, f"verify {args.what}", verify_flags.get(args.what, {}),
-                        ("kmax", "degree", "algebra", "level", "label"))
+    reads = verify_flags.get(args.what, {})
+    flags = {**reads, **_read_flags(args, f"verify {args.what}", reads,
+                                    ("kmax", "degree", "algebra", "level", "label"))}
     if args.what == "virasoro":
         rows = virasoro_rows(flags["kmax"], flags["degree"])
     elif args.what == "sugawara":

@@ -68,7 +68,13 @@ class CurrentAlgebra(namedtuple("CurrentAlgebra", "gen_names bracket form dual_p
     """
 
     __slots__ = ()
-    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+    __hash__ = object.__hash__
+
+    def __eq__(self, other) -> bool:
+        return self is other
+
+    def __ne__(self, other) -> bool:
+        return self is not other
 
 
 def _sl2_irrep(mu: int) -> tuple:

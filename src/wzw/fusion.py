@@ -39,7 +39,13 @@ class FusionAlphabet(namedtuple("FusionAlphabet", "rs level labels dual weyl_dim
     """
 
     __slots__ = ()
-    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+    __hash__ = object.__hash__
+
+    def __eq__(self, other) -> bool:
+        return self is other
+
+    def __ne__(self, other) -> bool:
+        return self is not other
 
     def _not_a_sequence(self, *args):
         raise TypeError("a FusionAlphabet is not a sequence; its labels are .labels")

@@ -58,7 +58,6 @@ class _TensorOps:
     """
 
     def __init__(self, labels):
-        self.labels = labels
         self.dims = [m + 1 for m in labels]
         self.strides = strides(self.dims)
         self.moves = []
@@ -95,7 +94,7 @@ class _TensorOps:
             if not vec:
                 break
             out: dict = {}
-            for s in range(len(self.labels)):
+            for s in range(len(self.dims)):
                 self.apply_slot(vec, s, "E", z[s], out)
             vec = {k: v for k, v in out.items() if v}
         return vec
@@ -109,10 +108,6 @@ class KZSystem(namedtuple("KZSystem", "level labels dim classical_dim a_matrices
     """
 
     __slots__ = ()
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
 
 
 def kz_system(level: int, labels) -> KZSystem:
@@ -165,7 +160,7 @@ def kz_system(level: int, labels) -> KZSystem:
 def flatness_check(system: KZSystem) -> bool:
     """Kohno relations, exact: [A_ij, S] = [A_ik, S] = 0 on each triple i<j<k,
     with S = A_ij + A_ik + A_jk, and [A_ij, A_kl] = 0 on disjoint pairs."""
-    n, mats = system.n, system.a_matrices
+    n, mats = len(system.labels), system.a_matrices
     if system.dim == 0 or n == 2:
         return True
     # [A_one, A_two + A_three] = 0, written as [A_one, A_two] = [A_three, A_one]; the
@@ -400,7 +395,7 @@ def max_difference(a: list, b: list) -> float:
     return max((abs(x - y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)), default=0.0)
 
 
-def parallel_transport(system: KZSystem, path, steps: int,
+def parallel_transport(system: KZSystem, path, steps: int = 10000,
                        tolerance: float = 1e-6) -> TransportResult:
     """RK4 holonomy along a piecewise-linear path (list of configurations).
 
@@ -415,8 +410,8 @@ def parallel_transport(system: KZSystem, path, steps: int,
     if len(waypoints) < 1:
         raise InputError("path needs at least one configuration")
     for p in waypoints:
-        if len(p) != system.n:
-            raise InputError(f"configuration has {len(p)} points, expected {system.n}")
+        if len(p) != len(system.labels):
+            raise InputError(f"configuration has {len(p)} points, expected {len(system.labels)}")
     if steps < 100:
         raise InputError(f"need at least 100 steps, got {steps}")
     if not 0 < tolerance < cmath.inf:

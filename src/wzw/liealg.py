@@ -148,27 +148,19 @@ def _root_system(series: str, rank: int, cartan) -> RootSystem:
         raise InternalError("highest root is not unique")
     theta = tops[0]
 
-    def column(y):
-        return tuple(sum(g * yj for g, yj in zip(row, y)) for row in gram)
-
-    def pair(x, y):
-        return sum(xi * ci for xi, ci in zip(x, column(y)))
-
-    if pair(theta, theta) != 2 * denominator:
+    rs = RootSystem(series=series, rank=rank,
+                    cartan_matrix=tuple(tuple(r) for r in cartan), simple_roots=simple,
+                    gram=tuple(tuple(r) for r in gram), denominator=denominator,
+                    pos_roots=tuple(sorted(pos, key=lambda b: (pos[b], b))),
+                    root_columns=None, highest_root=theta, rho=(1,) * rank,
+                    dual_coxeter=None)
+    if rs.pair(theta, theta) != 2 * denominator:
         raise InternalError("form(theta,theta) != 2; normalization broken")
-    rho = (1,) * rank
-    h_minus_one, rem = divmod(pair(rho, theta), denominator)
+    h_minus_one, rem = divmod(rs.pair(rs.rho, theta), denominator)
     if rem:
         raise InternalError("dual Coxeter number is not an integer")
-
-    pos_roots = tuple(sorted(pos, key=lambda b: (pos[b], b)))
-    return RootSystem(series=series, rank=rank,
-                      cartan_matrix=tuple(tuple(r) for r in cartan), simple_roots=simple,
-                      gram=tuple(tuple(r) for r in gram), denominator=denominator,
-                      pos_roots=pos_roots,
-                      root_columns=tuple(column(alpha) for alpha in pos_roots),
-                      highest_root=theta, rho=rho,
-                      dual_coxeter=1 + h_minus_one)
+    return rs._replace(root_columns=tuple(rs.column(alpha) for alpha in rs.pos_roots),
+                       dual_coxeter=1 + h_minus_one)
 
 
 def _positive_roots(simple: tuple[Weight, ...]) -> dict[Weight, int]:

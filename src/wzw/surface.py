@@ -100,10 +100,6 @@ class TrivalentGraph(namedtuple("TrivalentGraph", "num_vertices edges legs")):
     def betti(self) -> int:
         return len(self.edges) - self.num_vertices + 1
 
-    def compatible_with(self, surface: MarkedSurface) -> bool:
-        return (self.betti == surface.genus
-                and len(self.legs) == len(surface.boundary_labels))
-
 
 def canonical_graph(genus: int, n_legs: int) -> TrivalentGraph:
     """Caterpillar decomposition: a spine path with legs first, then loops.
@@ -229,7 +225,7 @@ def block_dimension(surface: MarkedSurface, graph: TrivalentGraph | None = None)
     labels = surface.boundary_labels
     n = len(labels)
     if graph is not None:
-        if not graph.compatible_with(surface):
+        if (graph.betti, len(graph.legs)) != (g, n):
             raise InputError(f"graph (betti {graph.betti}, {len(graph.legs)} legs) "
                              f"does not match (genus {g}, {n} boundaries)")
         return _state_sum(surface, graph)

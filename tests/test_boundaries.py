@@ -188,6 +188,11 @@ def test_records_that_key_caches_are_equal_only_to_themselves():
                           (CurrentAlgebra(*SL2), SL2)):
         assert fresh != shared and not fresh == shared and fresh == fresh
         assert isinstance(hash(fresh), int) and isinstance(hash(shared), int)
+    # nor is a plain tuple of their fields equal to them, asked from either side
+    for record in (alphabet(A1, 1), SL2):
+        plain = tuple(getattr(record, name) for name in record._fields)
+        assert record != plain and plain != record
+        assert not record == plain and not plain == record
 
 
 def test_no_class_defines_its_own_attribute_guards():

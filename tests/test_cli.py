@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from wzw import checks, cli
+from wzw import checks, cli, kz
 from wzw.errors import InternalError
 
 
@@ -466,6 +466,22 @@ def test_kz_transport_flag_defaults(tmp_path, capsys):
     assert json.loads(default)["steps"] == 10000
     assert cli.main(argv + ["--steps", "10000", "--tolerance", "1e-6"]) == 0
     assert capsys.readouterr().out == default
+
+
+def test_kz_transport_leaves_its_defaults_to_parallel_transport(tmp_path, capsys):
+    # without --steps and --tolerance the command prints the transport that
+    # parallel_transport gives with its own defaults
+    path = tmp_path / "loop.json"
+    points = [[[2, 0], [0, 0], [-2, 0]], [[2, 1], [0, 0], [-2, 0]]]
+    path.write_text(json.dumps({"points": points, "closed": True}))
+    argv = ["kz", "transport", "--level", "2", "--labels", "1,1,2", "--path", str(path)]
+    assert cli.main(argv) == 0
+    loop = [tuple(complex(x, y) for x, y in config) for config in points + points[:1]]
+    res = kz.parallel_transport(kz.kz_system(2, (1, 1, 2)), loop)
+    assert json.loads(capsys.readouterr().out) == {
+        "matrix": [[[v.real, v.imag] for v in row] for row in res.matrix],
+        "steps": res.steps, "path": res.path,
+        "error_estimate": res.error_estimate, "converged": res.converged}
 
 
 def test_verify_single_check_by_name():
