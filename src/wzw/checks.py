@@ -1,4 +1,4 @@
-"""Batch verification suite: every identity the package promises, as one runner.
+"""Batch verification suite: every identity the package promises, in ALL_CHECKS.
 
 Each check returns a CheckResult, a pass/fail with one detail line, for the
 `verify` subcommand; the test suite reuses the same functions so the CLI
@@ -28,7 +28,7 @@ VIRASORO_KMAX, VIRASORO_DEGREE = 3, 12
 SUGAWARA_DEGREE, SUGAWARA_KMAX, SUGAWARA_MMAX = 6, 2, 2
 ORACLE_LEVEL_MAX = 4
 KZ_NMAX, KZ_LEVEL_MAX = 4, 3
-TRANSPORT_STEPS, TRANSPORT_TOLERANCE = 10000, 1e-6
+TRANSPORT_TOLERANCE = 1e-6
 GLUING_DEGREE, GLUING_DMAX = 6, 4
 
 
@@ -128,7 +128,7 @@ def oracle_equivalence() -> CheckResult:
     """fusion_coeff agrees with the coinvariant three-point rank, all A1 triples."""
     from .fusion import alphabet, fusion_coeff
     from .liealg import root_system
-    from .oracle import three_point_rank
+    from .oracle import three_point_ranks
     rs = root_system("A1")
 
     def outcomes():
@@ -137,7 +137,7 @@ def oracle_equivalence() -> CheckResult:
             for m1, m2, m3 in itertools.product(range(level + 1), repeat=3):
                 yield (f"l={level},labels=({m1},{m2},{m3})",
                        fusion_coeff(alph, (m1,), (m2,), (m3,))
-                       == three_point_rank(level, m1, m2, m3))
+                       == three_point_ranks(level, m1, m2, m3)[0])
     return _verdict("oracle-equivalence", outcomes(),
                     f"triples across levels 0..{ORACLE_LEVEL_MAX}, "
                     "fusion coefficient == block rank everywhere", "disagreements")
@@ -290,8 +290,7 @@ def kz_transport() -> CheckResult:
     bad = []
 
     loop = [(2, 0, -2), (2 + 1j, 0, -2), (3 + 1j, 0, -2), (3, 0, -2), (2, 0, -2)]
-    res = parallel_transport(system, loop, steps=TRANSPORT_STEPS,
-                             tolerance=TRANSPORT_TOLERANCE)
+    res = parallel_transport(system, loop)
     dev = max_difference(res.matrix, one)
     if dev > TRANSPORT_TOLERANCE or not res.converged:
         bad.append({"name": "contractible-loop", "deviation": dev,
@@ -299,15 +298,15 @@ def kz_transport() -> CheckResult:
 
     upper = [(2, 0, -2), (2 + 1j, 0, -2), (4 + 1j, 0, -2), (4, 0, -2)]
     lower = [(2, 0, -2), (2 - 1j, 0, -2), (4 - 1j, 0, -2), (4, 0, -2)]
-    diff = max_difference(parallel_transport(system, upper, steps=TRANSPORT_STEPS).matrix,
-                          parallel_transport(system, lower, steps=TRANSPORT_STEPS).matrix)
+    diff = max_difference(parallel_transport(system, upper).matrix,
+                          parallel_transport(system, lower).matrix)
     if diff > TRANSPORT_TOLERANCE:
         bad.append({"name": "homotopic-paths", "difference": diff})
 
     around = [(2, 0, -2), (2 + 3j, 0, -2), (-1 + 3j, 0, -2), (-1 - 3j, 0, -2),
               (2 - 3j, 0, -2), (2, 0, -2)]
-    # res is the contractible loop at the same steps; the tolerance sets only `converged`
-    encircling = parallel_transport(system, around, steps=TRANSPORT_STEPS)
+    # res is the contractible loop, transported at the same default steps
+    encircling = parallel_transport(system, around)
     monodromy = max_difference(encircling.matrix, res.matrix)
     if monodromy < 1e-3:
         bad.append({"name": "encircling-loop", "difference": monodromy})
@@ -356,15 +355,15 @@ def rank_z_independence() -> CheckResult:
     """Block rank is the same for every choice of distinct marked points."""
     import random
 
-    from .oracle import CoinvariantProblem, npoint_block_rank
+    from .oracle import CoinvariantProblem, npoint_block_ranks
     rng = random.Random(POINT_SEED)
 
     def outcomes():
         for level in range(3):
             for n in range(1, 5):
                 for marks in itertools.product(range(level + 1), repeat=n):
-                    ranks = {npoint_block_rank(CoinvariantProblem(level, marks,
-                                                                  _sample_points(rng, n)))
+                    ranks = {npoint_block_ranks(CoinvariantProblem(level, marks,
+                                                                   _sample_points(rng, n)))[0]
                              for _ in range(3)}
                     yield f"l={level},labels={marks}", len(ranks) == 1
     return _verdict("rank-z-independence", outcomes(),
@@ -384,16 +383,3 @@ ALL_CHECKS = (
     ("gluing-recursion", gluing_recursion),
     ("rank-z-independence", rank_z_independence),
 )
-
-
-def run_all(names=None) -> list[CheckResult]:
-    table = dict(ALL_CHECKS)
-    if names is None:
-        names = [name for name, _ in ALL_CHECKS]
-    results = []
-    for name in names:
-        if name not in table:
-            raise InputError(f"unknown check {name!r}; choose from "
-                             + ", ".join(table))
-        results.append(table[name]())
-    return results

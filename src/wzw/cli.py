@@ -135,8 +135,9 @@ def _cmd_dehn(args):
     return payload, list(payload.items()), 0
 
 
-def _read_flags(args, name: str, reads, optional) -> dict:
-    """The flags of `optional` given on the command line; one not in `reads` is an error.
+def _read_flags(args, name: str, reads, optional, needs=()) -> dict:
+    """The flags of `optional` given on the command line; one not in `reads`,
+    or one of `needs` left out, is an error.
 
     Each flag in `optional` defaults to None in the parser, so a flag given on
     the command line is told apart from one left out, which takes the default
@@ -146,6 +147,9 @@ def _read_flags(args, name: str, reads, optional) -> dict:
     for flag in given:
         if flag not in reads:
             raise InputError(f"{name} does not read --{flag}")
+    for flag in needs:
+        if flag not in given:
+            raise InputError(f"{name} requires --{flag}")
     return given
 
 
@@ -153,7 +157,7 @@ def _cmd_oracle(args):
     from .oracle import (CoinvariantProblem, npoint_block_ranks,
                          propagation_check, three_point_ranks)
     reads = () if args.problem == "three-point" else ("points",)
-    flags = _read_flags(args, f"oracle {args.problem}", reads, ("points",))
+    flags = _read_flags(args, f"oracle {args.problem}", reads, ("points",), needs=reads)
     marks = _parse_ints(args.labels)
     if args.problem == "three-point":
         if len(marks) != 3:
@@ -161,12 +165,12 @@ def _cmd_oracle(args):
         rank, classical = three_point_ranks(args.level, *marks)
         payload = {"rank": rank, "classical_rank": classical}
     elif args.problem == "npoint":
-        points = _parse_points(flags.get("points", ""))
+        points = _parse_points(flags["points"])
         rank, classical = npoint_block_ranks(
             CoinvariantProblem(args.level, marks, points))
         payload = {"rank": rank, "classical_rank": classical}
     else:
-        points = _parse_points(flags.get("points", ""))
+        points = _parse_points(flags["points"])
         payload = {"preserved": propagation_check(args.level, marks, points)}
     return payload, list(payload.items()), 0
 
@@ -208,7 +212,8 @@ def _cmd_kz(args):
     step and tolerance defaults of `kz.parallel_transport`."""
     from .kz import flatness_check, kz_system, parallel_transport
     reads = ("path", "steps", "tolerance") if args.action == "transport" else ()
-    flags = _read_flags(args, f"kz {args.action}", reads, ("path", "steps", "tolerance"))
+    flags = _read_flags(args, f"kz {args.action}", reads, ("path", "steps", "tolerance"),
+                        needs=("path",) if reads else ())
     if args.algebra != "A1":
         raise InputError(f"kz supports algebra A1 only, got {args.algebra!r}")
     system = kz_system(args.level, _parse_ints(args.labels))
@@ -241,7 +246,7 @@ def _cmd_kz(args):
 
 
 def _cmd_verify(args):
-    from .checks import (SUGAWARA_DEGREE, VIRASORO_DEGREE, VIRASORO_KMAX, run_all,
+    from .checks import (ALL_CHECKS, SUGAWARA_DEGREE, VIRASORO_DEGREE, VIRASORO_KMAX,
                          sugawara_rows, virasoro_rows)
     # the flags each verify target reads, with their defaults; the named checks read none
     verify_flags = {"virasoro": {"kmax": VIRASORO_KMAX, "degree": VIRASORO_DEGREE},
@@ -257,8 +262,7 @@ def _cmd_verify(args):
             raise InputError(f"verify sugawara supports A1 only, got {flags['algebra']!r}")
         rows = sugawara_rows(flags["level"], flags["label"], flags["degree"])
     else:
-        names = None if args.what == "all" else [args.what]
-        results = run_all(names)
+        results = [check() for name, check in ALL_CHECKS if args.what in ("all", name)]
         payload = {"checks": [r.to_report() for r in results]}
         tsv = [(c["name"], c["status"], c["detail"]) for c in payload["checks"]]
         code = 0 if all(r.passed for r in results) else 1
@@ -338,10 +342,7 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "kz" and args.action == "transport" and not args.path:
-        parser.error("kz transport requires --path")
+    args = build_parser().parse_args(argv)
     try:
         payload, rows, code = args.handler(args)
         text = _render(payload, rows, args.format)

@@ -155,8 +155,6 @@ class InducedModule:
         self.algebra = algebra
         self._mats = algebra.irrep(mu)
         self._colors = len(algebra.gen_names)
-        self._bracket = algebra.bracket
-        self._form = algebra.form
         self._memo: dict = {}
         self._index: dict = {}
         self._actions: dict = {}
@@ -205,11 +203,11 @@ class InducedModule:
                 for melt, c in self.apply_gen(m, g, (rest, vi)).items():
                     for melt2, c2 in self.apply_gen(-hk, hg, melt).items():
                         out[melt2] = out.get(melt2, 0) + c * c2
-                for g2, coef in self._bracket.get((g, hg), ()):
+                for g2, coef in self.algebra.bracket.get((g, hg), ()):
                     for melt, c in self.apply_gen(m - hk, g2, (rest, vi)).items():
                         out[melt] = out.get(melt, 0) + coef * c
                 if m == hk:
-                    kappa = self._form.get((g, hg), 0)
+                    kappa = self.algebra.form.get((g, hg), 0)
                     if kappa:
                         tgt = (rest, vi)
                         out[tgt] = out.get(tgt, 0) + m * kappa * self.level

@@ -161,8 +161,6 @@ def flatness_check(system: KZSystem) -> bool:
     """Kohno relations, exact: [A_ij, S] = [A_ik, S] = 0 on each triple i<j<k,
     with S = A_ij + A_ik + A_jk, and [A_ij, A_kl] = 0 on disjoint pairs."""
     n, mats = len(system.labels), system.a_matrices
-    if system.dim == 0 or n == 2:
-        return True
     # [A_one, A_two + A_three] = 0, written as [A_one, A_two] = [A_three, A_one]; the
     # third ordering, [A_jk, S] = 0, is implied: the three [A_x, S] sum to [S, S] = 0
     for i, j, k in combinations(range(n), 3):

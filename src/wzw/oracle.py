@@ -80,11 +80,6 @@ def _classical_span(labels):
     return spaces, stride, span
 
 
-def three_point_rank(level: int, m1: int, m2: int, m3: int) -> int:
-    rank, _ = three_point_ranks(level, m1, m2, m3)
-    return rank
-
-
 def three_point_ranks(level: int, m1: int, m2: int, m3: int) -> tuple[int, int]:
     """(block rank, classical coinvariant rank) for the 3-holed sphere."""
     labels = (m1, m2, m3)
@@ -105,11 +100,6 @@ def three_point_ranks(level: int, m1: int, m2: int, m3: int) -> tuple[int, int]:
     for tgt in sorted(targets & zero):
         span.add({tgt: 1})
     return len(zero) - span.rank, classical
-
-
-def npoint_block_rank(problem: CoinvariantProblem) -> int:
-    rank, _ = npoint_block_ranks(problem)
-    return rank
 
 
 def npoint_block_ranks(problem: CoinvariantProblem) -> tuple[int, int]:
@@ -163,9 +153,9 @@ def propagation_check(level: int, labels, z) -> bool:
     """Does inserting a trivially labeled fresh point preserve the block rank?"""
     labels = tuple(labels)
     z = tuple(Fraction(p) for p in z)
-    base = npoint_block_rank(CoinvariantProblem(level, labels, z))
+    base, _ = npoint_block_ranks(CoinvariantProblem(level, labels, z))
     fresh = Fraction(0)
     while fresh in z:
         fresh += 1
-    grown = npoint_block_rank(CoinvariantProblem(level, labels + (0,), z + (fresh,)))
+    grown, _ = npoint_block_ranks(CoinvariantProblem(level, labels + (0,), z + (fresh,)))
     return base == grown

@@ -14,12 +14,13 @@ from wzw.kz import TransportResult
 
 
 def test_oracle_equivalence_names_its_first_disagreement(monkeypatch):
-    real = oracle.three_point_rank
+    real = oracle.three_point_ranks
 
     def off_by_one(level, m1, m2, m3):
-        return real(level, m1, m2, m3) + ((level, m1, m2, m3) == (2, 1, 1, 2))
+        rank, classical = real(level, m1, m2, m3)
+        return rank + ((level, m1, m2, m3) == (2, 1, 1, 2)), classical
 
-    monkeypatch.setattr(oracle, "three_point_rank", off_by_one)
+    monkeypatch.setattr(oracle, "three_point_ranks", off_by_one)
     result = checks.oracle_equivalence()
     assert result.passed is False
     assert result.detail == "1/225 disagreements, first l=2,labels=(1,1,2)"
@@ -120,16 +121,17 @@ def test_gluing_recursion_counts_its_rows(monkeypatch):
 
 
 def test_rank_z_independence_names_its_first_varying_case(monkeypatch):
-    real = oracle.npoint_block_rank
+    real = oracle.npoint_block_ranks
     seen = set()
 
     def first_point_differs(problem):
         key = (problem.level, tuple(problem.labels))
         bump = key == (2, (1, 1)) and key not in seen
         seen.add(key)
-        return real(problem) + bump
+        rank, classical = real(problem)
+        return rank + bump, classical
 
-    monkeypatch.setattr(oracle, "npoint_block_rank", first_point_differs)
+    monkeypatch.setattr(oracle, "npoint_block_ranks", first_point_differs)
     result = checks.rank_z_independence()
     assert result.passed is False
     assert result.detail == "1/154 cases vary, first l=2,labels=(1, 1)"

@@ -455,6 +455,23 @@ def test_a_flag_the_command_does_not_read_is_rejected(argv, flag):
     assert out.stderr == f"error: {argv[0]} {argv[1]} does not read {flag}\n"
 
 
+@pytest.mark.parametrize("problem", ["npoint", "propagation"])
+def test_oracle_without_points_names_the_missing_flag(problem):
+    out = run_cli("oracle", problem, "--level", "2", "--labels", "1,1,2")
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr == f"error: oracle {problem} requires --points\n"
+
+
+@pytest.mark.parametrize("extra", [(), ("--steps", "5")], ids=["plain", "with --steps"])
+def test_kz_transport_without_path_names_the_missing_flag(extra):
+    # one line, like every other flag error, with no usage line
+    out = run_cli("kz", "transport", "--level", "2", "--labels", "1,1,2", *extra)
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr == "error: kz transport requires --path\n"
+
+
 def test_kz_transport_flag_defaults(tmp_path, capsys):
     # --steps 10000 and --tolerance 1e-6 when left out
     path = tmp_path / "loop.json"
